@@ -64,6 +64,42 @@ func BenchmarkQuantTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkQuantTopKClustered runs the quantized scan over the serving
+// benchmark's corpus shape — 20K 50-dim vectors in 64 Gaussian clusters,
+// queries near stored rows — where the shortlist bound lets most rows
+// stop after a few blocks. BenchmarkQuantTopK's unclustered Gaussian
+// corpus is the case where it rarely can.
+func BenchmarkQuantTopKClustered(b *testing.B) {
+	const dim = 50
+	l, err := NewLSH(dim, DefaultLSHConfig(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(2))
+	vecs := clusteredVecs(rng, benchN, dim, 64)
+	for i, v := range vecs {
+		if err := l.Insert(uint64(i+1), v); err != nil {
+			b.Fatal(err)
+		}
+	}
+	qs := make([][]float64, 64)
+	for i := range qs {
+		q := append([]float64(nil), vecs[rng.Intn(benchN)]...)
+		for d := range q {
+			q[d] += rng.NormFloat64() * 0.5
+		}
+		qs[i] = q
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := l.QuantTopK(ctx, qs[i%len(qs)], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkQuantTable(b *testing.B) {
 	l, q := benchLSH(b)
 	b.ReportAllocs()

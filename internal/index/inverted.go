@@ -133,6 +133,37 @@ func (ix *Inverted) SearchAnyStats(terms []string, docs int, df []int) []Match {
 	return out
 }
 
+// FilterIDs keeps, in order, the ids indexed under at least one of terms
+// (every term when all is set) — the membership SearchAny / SearchAll
+// decide, without scoring or sorting. Terms match case-insensitively; an
+// empty terms list keeps nothing. It compacts ids in place and returns
+// the kept prefix.
+func (ix *Inverted) FilterIDs(ids []uint64, terms []string, all bool) []uint64 {
+	out := ids[:0]
+	if len(terms) == 0 {
+		return out
+	}
+	lists := make([]map[uint64]int, len(terms))
+	for i, t := range terms {
+		lists[i] = ix.postings[strings.ToLower(t)]
+	}
+	for _, id := range ids {
+		// For any, keep on the first list holding id; for all, drop on
+		// the first list missing it.
+		keep := all
+		for _, m := range lists {
+			if _, ok := m[id]; ok != all {
+				keep = ok
+				break
+			}
+		}
+		if keep {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
 // SearchAll returns documents containing every query term (conjunctive),
 // ranked by TF-IDF.
 func (ix *Inverted) SearchAll(terms []string) []Match {

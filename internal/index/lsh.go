@@ -2,11 +2,11 @@ package index
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"repro/internal/quant"
@@ -132,13 +132,20 @@ func (l *LSH) Len() int { return len(l.vectors) }
 // Dim returns the indexed dimensionality.
 func (l *LSH) Dim() int { return l.dim }
 
-func (l *LSH) key(t int, x []float64) string {
-	var b strings.Builder
+// keyBuf holds one bucket key without a heap allocation at the default
+// Hashes (6 × 8 bytes); larger configurations grow it.
+type keyBuf [64]byte
+
+// appendKey appends table t's bucket key for x to buf: the tuple of
+// floor(dot/W) over the table's hashes, each as a fixed-width 8-byte
+// word, so equal tuples and only equal tuples give equal keys. Lookups
+// index with m[string(key)], which Go compiles without allocating.
+func (l *LSH) appendKey(buf []byte, t int, x []float64) []byte {
 	for h := 0; h < l.cfg.Hashes; h++ {
 		dot := l.offsets[t][h] + vecmath.Dot(l.proj[t][h], x)
-		fmt.Fprintf(&b, "%d|", int(math.Floor(dot/l.cfg.W)))
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(math.Floor(dot/l.cfg.W))))
 	}
-	return b.String()
+	return buf
 }
 
 // ErrDimMismatch reports a vector of the wrong length.
@@ -154,9 +161,10 @@ func (l *LSH) Insert(id uint64, vec []float64) error {
 	}
 	cp := append([]float64(nil), vec...)
 	l.vectors[id] = cp
+	var kb keyBuf
 	for t := range l.tables {
-		k := l.key(t, cp)
-		l.tables[t][k] = append(l.tables[t][k], id)
+		k := l.appendKey(kb[:0], t, cp)
+		l.tables[t][string(k)] = append(l.tables[t][string(k)], id)
 	}
 	return l.encode(id, cp)
 }
@@ -233,17 +241,18 @@ func (l *LSH) Remove(id uint64) {
 	if !ok {
 		return
 	}
+	var kb keyBuf
 	for t := range l.tables {
-		k := l.key(t, vec)
-		bucket := l.tables[t][k]
+		k := l.appendKey(kb[:0], t, vec)
+		bucket := l.tables[t][string(k)]
 		for i, v := range bucket {
 			if v == id {
-				l.tables[t][k] = append(bucket[:i], bucket[i+1:]...)
+				l.tables[t][string(k)] = append(bucket[:i], bucket[i+1:]...)
 				break
 			}
 		}
-		if len(l.tables[t][k]) == 0 {
-			delete(l.tables[t], k)
+		if len(l.tables[t][string(k)]) == 0 {
+			delete(l.tables[t], string(k))
 		}
 	}
 	delete(l.vectors, id)
@@ -267,11 +276,12 @@ func (l *LSH) Remove(id uint64) {
 // point).
 func (l *LSH) candidates(ctx context.Context, q []float64) (map[uint64]bool, error) {
 	set := make(map[uint64]bool)
+	var kb keyBuf
 	for t := range l.tables {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, id := range l.tables[t][l.key(t, q)] {
+		for _, id := range l.tables[t][string(l.appendKey(kb[:0], t, q))] {
 			set[id] = true
 		}
 	}
@@ -310,9 +320,11 @@ func (l *LSH) rerank(ctx context.Context, q []float64, approx []Match, k int) ([
 // ascending L2 distance: LSH buckets propose candidates, the quantized
 // codes order them cheaply, and the top k·rerankAlpha shortlist is
 // re-ranked at full precision (so the returned ordering is exact over
-// the candidate set up to quantization error at the shortlist cut). The
-// scan honours ctx between hash tables and every scanCheckpoint
-// candidates.
+// the candidate set up to quantization error at the shortlist cut). A
+// candidate's quantized distance is summed only until it passes the
+// shortlist's current worst (vecmath.SquaredL2Int8Bound), so rows that
+// cannot enter the shortlist cost part of a row. The scan honours ctx
+// between hash tables and every scanCheckpoint candidates.
 func (l *LSH) TopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 	if len(q) != l.dim {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), l.dim)
@@ -341,7 +353,11 @@ func (l *LSH) TopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 			}
 		}
 		scanned++
-		sel.offer(Match{ID: id, Dist: vecmath.SquaredL2Int8(l.row(l.slabPos[id]), lut)})
+		// A sum past the bound would only be rejected by offer.
+		bound := sel.bound()
+		if d := vecmath.SquaredL2Int8Bound(l.row(l.slabPos[id]), lut, bound); d <= bound {
+			sel.offer(Match{ID: id, Dist: d})
+		}
 	}
 	out, err := l.rerank(ctx, q, sel.results(), k)
 	if err != nil {
@@ -355,7 +371,9 @@ func (l *LSH) TopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 // full quantized scan over every indexed code (no LSH bucketing), with
 // the usual full-precision shortlist re-rank. It is the cheap linear
 // baseline of the readpath figure: same scan shape as ExactTopK but
-// reading 1 byte per dimension instead of 8.
+// reading 1 byte per dimension instead of 8. Like TopK, it stops summing
+// a row once the sum passes the shortlist's current worst distance
+// (vecmath.SquaredL2Int8Bound), which leaves the shortlist unchanged.
 func (l *LSH) QuantTopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 	if len(q) != l.dim {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(q), l.dim)
@@ -375,7 +393,10 @@ func (l *LSH) QuantTopK(ctx context.Context, q []float64, k int) ([]Match, error
 				return nil, err
 			}
 		}
-		sel.offer(Match{ID: l.slabIDs[pos], Dist: vecmath.SquaredL2Int8(l.row(pos), lut)})
+		bound := sel.bound()
+		if d := vecmath.SquaredL2Int8Bound(l.row(pos), lut, bound); d <= bound {
+			sel.offer(Match{ID: l.slabIDs[pos], Dist: d})
+		}
 	}
 	out, err := l.rerank(ctx, q, sel.results(), k)
 	if err != nil {

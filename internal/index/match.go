@@ -65,6 +65,18 @@ func (s *topSelector) offer(c Match) {
 	s.accept(c)
 }
 
+// bound is the largest distance a newcomer can have and still be kept:
+// the worst kept distance once the buffer is full, +Inf before. A scan
+// may stop computing a candidate's distance once it exceeds bound (see
+// vecmath.SquaredL2Int8Bound); offer rejects such a partial sum just as
+// it would the full distance.
+func (s *topSelector) bound() float64 {
+	if len(s.hs) < s.m {
+		return math.Inf(1)
+	}
+	return s.hs[0].Dist
+}
+
 // accept inserts a match known to belong in the buffer.
 func (s *topSelector) accept(c Match) {
 	if len(s.hs) < s.m {

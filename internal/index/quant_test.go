@@ -2,8 +2,14 @@ package index
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
+
+	"repro/internal/vecmath"
 )
 
 // clusteredVecs draws vectors around a handful of centroids — the shape
@@ -242,5 +248,141 @@ func TestQuantSlabSwapDelete(t *testing.T) {
 	if len(l.slab) != 0 || len(l.slabIDs) != 0 || len(l.slabPos) != 0 {
 		t.Fatalf("slab not empty after drain: %d codes, %d ids, %d positions",
 			len(l.slab), len(l.slabIDs), len(l.slabPos))
+	}
+}
+
+// histogramVecs draws L1-normalised histograms — the shape of the real
+// color_hist feature, whose pairwise distances sit far below the LSH
+// bucket width, so every vector shares one bucket.
+func histogramVecs(rng *rand.Rand, n, dim int) [][]float64 {
+	out := make([][]float64, n)
+	for i := range out {
+		v := make([]float64, dim)
+		sum := 0.0
+		for d := range v {
+			x := rng.Float64()
+			v[d] = x * x * x
+			sum += v[d]
+		}
+		for d := range v {
+			v[d] /= sum
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// unboundedTopK is the reference the bounded scans must reproduce: the
+// same shortlist selection and re-rank over ids, with every quantized
+// distance summed in full.
+func unboundedTopK(t *testing.T, l *LSH, q []float64, k int, ids []uint64) []Match {
+	t.Helper()
+	lut, err := l.quantizer.Table(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := newTopSelector(shortlistSize(k))
+	for _, id := range ids {
+		sel.offer(Match{ID: id, Dist: vecmath.SquaredL2Int8(l.row(l.slabPos[id]), lut)})
+	}
+	out, err := l.rerank(context.Background(), q, sel.results(), k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finalizeMatches(out)
+	return out
+}
+
+// TestBoundedScansMatchUnbounded pins the early-exit scans to their
+// unbounded reference, bit for bit, on a clustered corpus (where the
+// bound prunes most rows) and on L1-normalised histograms (where the LSH
+// probe degenerates to a full scan).
+func TestBoundedScansMatchUnbounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const dim, k, queries = 50, 10, 64
+	corpora := map[string][][]float64{
+		"clustered": clusteredVecs(rng, 3000, dim, 64),
+		"histogram": histogramVecs(rng, 1500, dim),
+	}
+	ctx := context.Background()
+	for name, vecs := range corpora {
+		l, err := NewLSH(dim, DefaultLSHConfig(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vecs {
+			if err := l.Insert(uint64(i+1), v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for qi := 0; qi < queries; qi++ {
+			q := append([]float64(nil), vecs[rng.Intn(len(vecs))]...)
+			for d := range q {
+				q[d] += rng.NormFloat64() * 0.01 * q[d]
+			}
+			got, err := l.QuantTopK(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := unboundedTopK(t, l, q, k, l.slabIDs); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: QuantTopK %v, unbounded %v", name, qi, got, want)
+			}
+			cands, err := l.candidates(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make([]uint64, 0, len(cands))
+			for id := range cands {
+				ids = append(ids, id)
+			}
+			got, err = l.TopK(ctx, q, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) == 0 {
+				if len(got) != 0 {
+					t.Fatalf("%s query %d: TopK %v from an empty candidate set", name, qi, got)
+				}
+				continue
+			}
+			if want := unboundedTopK(t, l, q, k, ids); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s query %d: TopK %v, unbounded %v", name, qi, got, want)
+			}
+		}
+	}
+}
+
+// TestLSHBucketKeyPartition pins the fixed-width binary bucket key to the
+// partition of the formatted "h0|h1|…|" key it replaced: two vectors
+// share a bucket under one encoding exactly when they share it under the
+// other, so candidates and results are unchanged.
+func TestLSHBucketKeyPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	l, err := NewLSH(8, DefaultLSHConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := clusteredVecs(rng, 500, 8, 5)
+	for tb := range l.tables {
+		toNew := map[string]string{}
+		toOld := map[string]string{}
+		for _, v := range vecs {
+			var sb strings.Builder
+			for h := 0; h < l.cfg.Hashes; h++ {
+				dot := l.offsets[tb][h] + vecmath.Dot(l.proj[tb][h], v)
+				fmt.Fprintf(&sb, "%d|", int(math.Floor(dot/l.cfg.W)))
+			}
+			oldKey, newKey := sb.String(), string(l.appendKey(nil, tb, v))
+			if k, ok := toNew[oldKey]; ok && k != newKey {
+				t.Fatalf("table %d: one formatted key maps to two binary keys", tb)
+			}
+			if k, ok := toOld[newKey]; ok && k != oldKey {
+				t.Fatalf("table %d: one binary key maps to two formatted keys", tb)
+			}
+			toNew[oldKey], toOld[newKey] = newKey, oldKey
+		}
+		if len(toNew) == len(vecs) {
+			t.Fatalf("table %d: every vector in its own bucket; the check proves nothing", tb)
+		}
 	}
 }

@@ -2,16 +2,27 @@ package index
 
 import (
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
 // Temporal indexes items by timestamp for the temporal-filter queries of
 // §IV-C. It keeps a sorted slice with binary-search range scans —
 // append-mostly insertion stays near O(1) amortised because captures
-// arrive roughly in time order.
+// arrive roughly in time order; out-of-order inserts are sorted in one
+// O(n log n) pass by the next read.
+//
+// Concurrency: the owner serialises Insert and Remove against every other
+// call (the store holds its write lock for them) but lets reads run
+// together (under its read lock). Reads never write the index except
+// through that one lazy sort, which sortMu makes exclusive: the first
+// reader to find the slice unsorted sorts it, concurrent readers wait for
+// it, and sorted publishes the result to later readers.
 type Temporal struct {
 	entries []temporalEntry
-	sorted  bool
+	sortMu  sync.Mutex
+	sorted  atomic.Bool
 }
 
 type temporalEntry struct {
@@ -20,7 +31,11 @@ type temporalEntry struct {
 }
 
 // NewTemporal returns an empty index.
-func NewTemporal() *Temporal { return &Temporal{sorted: true} }
+func NewTemporal() *Temporal {
+	t := &Temporal{}
+	t.sorted.Store(true)
+	return t
+}
 
 // Len returns the number of indexed entries.
 func (t *Temporal) Len() int { return len(t.entries) }
@@ -29,7 +44,7 @@ func (t *Temporal) Len() int { return len(t.entries) }
 // re-sort on the next query.
 func (t *Temporal) Insert(id uint64, at time.Time) {
 	if n := len(t.entries); n > 0 && at.Before(t.entries[n-1].at) {
-		t.sorted = false
+		t.sorted.Store(false)
 	}
 	t.entries = append(t.entries, temporalEntry{at: at, id: id})
 }
@@ -49,8 +64,15 @@ func (t *Temporal) Remove(id uint64, at time.Time) {
 	}
 }
 
+// ensureSorted sorts the entries if an out-of-order insert left them
+// unsorted. Safe to call from concurrent readers (see Temporal).
 func (t *Temporal) ensureSorted() {
-	if t.sorted {
+	if t.sorted.Load() {
+		return
+	}
+	t.sortMu.Lock()
+	defer t.sortMu.Unlock()
+	if t.sorted.Load() {
 		return
 	}
 	sort.Slice(t.entries, func(i, j int) bool {
@@ -59,7 +81,7 @@ func (t *Temporal) ensureSorted() {
 		}
 		return t.entries[i].id < t.entries[j].id
 	})
-	t.sorted = true
+	t.sorted.Store(true)
 }
 
 // Range returns the IDs captured in [from, to] in ascending time order.

@@ -20,7 +20,7 @@ import (
 )
 
 // scanCheckpoint is the cancellation-poll cadence of the engine's
-// candidate loops (filter predicates, visual re-rank, two-phase fetch):
+// candidate loops (visual re-rank, two-phase fetch):
 // ctx.Err is consulted once per this many candidates, bounding how much
 // work a cancelled query performs past the cancellation instant.
 const scanCheckpoint = 256
@@ -372,72 +372,49 @@ func asCandidates(ids []uint64) []candidate {
 	return out
 }
 
+// labelIDs returns the images satisfying a driving categorical clause,
+// ascending.
 func (e *Engine) labelIDs(ctx context.Context, c CategoricalClause) ([]uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	cls, err := e.st.ClassificationByName(c.Classification)
+	lf, err := e.labelFilter(ctx, c)
 	if err != nil {
 		return nil, err
 	}
-	label := -1
-	for i, l := range cls.Labels {
-		if l == c.Label {
-			label = i
-			break
-		}
-	}
-	if label < 0 {
-		return nil, fmt.Errorf("query: classification %q has no label %q", c.Classification, c.Label)
-	}
-	ids := e.st.ImagesByLabel(cls.ID, label)
+	ids := e.st.ImagesByLabel(lf.ClassificationID, lf.Label)
 	if c.MinConfidence <= 0 {
 		return ids, nil
 	}
-	var out []uint64
-	for i, id := range ids {
-		if i%scanCheckpoint == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		for _, a := range e.st.AnnotationsFor(id) {
-			if a.ClassificationID == cls.ID && a.Label == label && a.Confidence >= c.MinConfidence {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	return out, nil
+	return e.st.FilterIDs(ctx, ids, store.IDFilter{Labels: []store.LabelFilter{lf}})
 }
 
-// filter applies every non-driving clause as a predicate, polling ctx
-// every scanCheckpoint candidates of the predicate loop.
-func (e *Engine) filter(ctx context.Context, q Query, cands []candidate, plan *Plan) ([]candidate, error) {
-	preds := make([]func(candidate) (bool, error), 0, 4)
+// labelFilter resolves a categorical clause's names to the store's
+// classification ID and label index.
+func (e *Engine) labelFilter(ctx context.Context, c CategoricalClause) (store.LabelFilter, error) {
+	if err := ctx.Err(); err != nil {
+		return store.LabelFilter{}, err
+	}
+	cls, err := e.st.ClassificationByName(c.Classification)
+	if err != nil {
+		return store.LabelFilter{}, err
+	}
+	for i, l := range cls.Labels {
+		if l == c.Label {
+			return store.LabelFilter{ClassificationID: cls.ID, Label: i, MinConfidence: c.MinConfidence}, nil
+		}
+	}
+	return store.LabelFilter{}, fmt.Errorf("query: classification %q has no label %q", c.Classification, c.Label)
+}
 
+// filter applies every non-driving clause in one Backend.FilterIDs call,
+// keeping the surviving candidates in their driven order.
+func (e *Engine) filter(ctx context.Context, q Query, cands []candidate, plan *Plan) ([]candidate, error) {
+	var f store.IDFilter
 	if q.Spatial != nil && q.Spatial.Rect != nil && plan.Driving != "spatial" && plan.Driving != "hybrid" {
 		plan.Steps = append(plan.Steps, "spatial filter")
-		r := *q.Spatial.Rect
-		preds = append(preds, func(c candidate) (bool, error) {
-			d, err := e.st.Describe(c.id)
-			if err != nil {
-				return false, err
-			}
-			return d.Scene.Intersects(r), nil
-		})
+		f.Scene = q.Spatial.Rect
 	}
 	if q.Temporal != nil && plan.Driving != "temporal" {
 		plan.Steps = append(plan.Steps, "temporal filter")
-		tc := *q.Temporal
-		preds = append(preds, func(c candidate) (bool, error) {
-			d, err := e.st.Describe(c.id)
-			if err != nil {
-				return false, err
-			}
-			ts := d.CapturedAt
-			return !ts.Before(tc.From) && !ts.After(tc.To), nil
-		})
+		f.Time = &store.TimeRange{From: q.Temporal.From, To: q.Temporal.To}
 	}
 	cats := q.categoricals()
 	// When categorical drove, the first clause is already applied; the
@@ -448,58 +425,34 @@ func (e *Engine) filter(ctx context.Context, q Query, cands []candidate, plan *P
 	}
 	for _, cat := range cats {
 		plan.Steps = append(plan.Steps, "categorical filter")
-		ids, err := e.labelIDs(ctx, cat)
+		lf, err := e.labelFilter(ctx, cat)
 		if err != nil {
 			return nil, err
 		}
-		set := make(map[uint64]bool, len(ids))
-		for _, id := range ids {
-			set[id] = true
-		}
-		preds = append(preds, func(c candidate) (bool, error) { return set[c.id], nil })
+		f.Labels = append(f.Labels, lf)
 	}
 	if q.Textual != nil && plan.Driving != "textual" {
 		plan.Steps = append(plan.Steps, "textual filter")
-		var ms []index.Match
-		var err error
-		if q.Textual.MatchAll {
-			ms, err = e.st.SearchTextAll(ctx, q.Textual.Terms)
-		} else {
-			ms, err = e.st.SearchText(ctx, q.Textual.Terms)
-		}
-		if err != nil {
-			return nil, err
-		}
-		set := make(map[uint64]bool, len(ms))
-		for _, m := range ms {
-			set[m.ID] = true
-		}
-		preds = append(preds, func(c candidate) (bool, error) { return set[c.id], nil })
+		f.Text = &store.TextFilter{Terms: q.Textual.Terms, MatchAll: q.Textual.MatchAll}
 	}
-
-	if len(preds) == 0 {
+	if f.Scene == nil && f.Time == nil && len(f.Labels) == 0 && f.Text == nil {
 		return cands, nil
 	}
-	out := cands[:0]
+	ids := make([]uint64, len(cands))
 	for i, c := range cands {
-		if i%scanCheckpoint == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		keep := true
-		for _, p := range preds {
-			ok, err := p(c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				keep = false
-				break
-			}
-		}
-		if keep {
+		ids[i] = c.id
+	}
+	kept, err := e.st.FilterIDs(ctx, ids, f)
+	if err != nil {
+		return nil, err
+	}
+	// kept is a subsequence of ids, so one cursor pairs it back up with
+	// the candidates and their driving scores.
+	out := cands[:0]
+	for _, c := range cands {
+		if len(kept) > 0 && kept[0] == c.id {
 			out = append(out, c)
+			kept = kept[1:]
 		}
 	}
 	return out, nil

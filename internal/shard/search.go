@@ -342,6 +342,39 @@ func (c *Coordinator) searchTextStats(ctx context.Context, terms []string, conju
 	return mergeScored(lists), nil
 }
 
+// FilterIDs splits the candidates by owning shard, filters each part on
+// its shard, and re-interleaves the survivors in input order. Every
+// predicate reads only the candidate's own rows, which live on its
+// shard, so the answer matches a single store's. The per-shard calls are
+// map probes, so they run one after another rather than on fan-out
+// goroutines. With candidates missing on several shards, the error names
+// the first missing one of the lowest-numbered such shard.
+func (c *Coordinator) FilterIDs(ctx context.Context, ids []uint64, f store.IDFilter) ([]uint64, error) {
+	parts := make([][]uint64, len(c.shards))
+	for _, id := range ids {
+		i := c.shardIndex(id)
+		parts[i] = append(parts[i], id)
+	}
+	for i, s := range c.shards {
+		kept, err := s.FilterIDs(ctx, parts[i], f)
+		if err != nil {
+			return nil, err
+		}
+		parts[i] = kept
+	}
+	// Each part is a subsequence of the input's ids on that shard, so one
+	// cursor per shard restores input order.
+	out := make([]uint64, 0, len(ids))
+	for _, id := range ids {
+		i := c.shardIndex(id)
+		if len(parts[i]) > 0 && parts[i][0] == id {
+			out = append(out, id)
+			parts[i] = parts[i][1:]
+		}
+	}
+	return out, nil
+}
+
 // SearchTime interleaves per-shard range scans under (time, ID), then
 // strips the timestamps.
 func (c *Coordinator) SearchTime(ctx context.Context, from, to time.Time) ([]uint64, error) {

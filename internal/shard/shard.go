@@ -192,9 +192,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
+// shardIndex returns the index of the shard owning image id.
+func (c *Coordinator) shardIndex(id uint64) int {
+	return int(mix64(id) % uint64(len(c.shards)))
+}
+
 // shardOf returns the shard owning image id.
 func (c *Coordinator) shardOf(id uint64) *store.Store {
-	return c.shards[mix64(id)%uint64(len(c.shards))]
+	return c.shards[c.shardIndex(id)]
 }
 
 // alloc hands out the next global ID.

@@ -83,6 +83,9 @@ type Backend interface {
 	SearchText(ctx context.Context, terms []string) ([]index.Match, error)
 	SearchTextAll(ctx context.Context, terms []string) ([]index.Match, error)
 	SearchTime(ctx context.Context, from, to time.Time) ([]uint64, error)
+	// FilterIDs evaluates non-driving clauses on a candidate list in one
+	// call, preserving input order.
+	FilterIDs(ctx context.Context, ids []uint64, f IDFilter) ([]uint64, error)
 }
 
 var _ Backend = (*Store)(nil)

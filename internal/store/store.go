@@ -958,10 +958,11 @@ func (s *Store) applyDeleteImage(id uint64) error {
 		lsh.Remove(id)
 	}
 	s.text.Remove(id)
-	for _, anns := range [][]Annotation{s.annotations[id]} {
-		for _, a := range anns {
-			s.unlinkLabel(a.ClassificationID, a.Label, id)
-		}
+	// An image is linked once per (classification, label) however often
+	// it was annotated with it; unlinkLabel is a no-op once the link is
+	// gone.
+	for _, a := range s.annotations[id] {
+		s.unlinkLabel(a.ClassificationID, a.Label, id)
 	}
 	delete(s.annotations, id)
 	delete(s.features, id)
@@ -1246,19 +1247,25 @@ func (s *Store) Annotate(a Annotation) error {
 	return s.awaitCommit(wait, 1)
 }
 
-// applyAnnotation appends one annotation row and its label-index entry.
-// Callers hold annMu.
+// applyAnnotation appends one annotation row and, the first time the
+// image carries this (classification, label), its label-index entry: an
+// image annotated twice with one label is linked once, so ImagesByLabel
+// lists it once. Replay and segment load go through here too, so
+// recovered state dedupes the same way. Callers hold annMu.
 //
 //tvdp:requires annMu
 func (s *Store) applyAnnotation(a *Annotation) error {
 	s.mutGen.Add(1)
+	linked := hasLabel(s.annotations[a.ImageID], a.ClassificationID, a.Label, 0)
 	s.annotations[a.ImageID] = append(s.annotations[a.ImageID], *a)
 	byLabel := s.byLabel[a.ClassificationID]
 	if byLabel == nil {
 		byLabel = make(map[int][]uint64)
 		s.byLabel[a.ClassificationID] = byLabel
 	}
-	byLabel[a.Label] = append(byLabel[a.Label], a.ImageID)
+	if !linked {
+		byLabel[a.Label] = append(byLabel[a.Label], a.ImageID)
+	}
 	if s.mem != nil {
 		s.mem.addAnnotation(a)
 	}

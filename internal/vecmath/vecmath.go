@@ -1,7 +1,9 @@
 // Package vecmath holds the distance kernels of the read hot path. Every
 // candidate scan in the platform — LSH re-rank, hybrid-tree leaf probes,
-// exact baselines, kNN/kMeans — funnels through these three functions, so
-// they are written for throughput: 4-way unrolled with independent
+// exact baselines, kNN/kMeans — funnels through these four functions
+// (SquaredL2, Dot, and the int8 table kernels SquaredL2Int8 and its
+// early-exit twin SquaredL2Int8Bound), so they are written for
+// throughput: 4-way unrolled with independent
 // accumulators (breaking the loop-carried dependence so the FPU pipelines
 // stay full) and a bounds-check-eliminating reslice up front.
 //
@@ -92,6 +94,55 @@ func SquaredL2Int8(codes []int8, lut []float64) float64 {
 		s2 += blk[512+int(codes[i+2])+128]
 		s3 += blk[768+int(codes[i+3])+128]
 		tbl = tbl[1024:]
+	}
+	for ; i < len(codes); i++ {
+		s0 += tbl[int(codes[i])+128]
+		tbl = tbl[256:]
+	}
+	return (s0 + s1) + (s2 + s3)
+}
+
+// SquaredL2Int8Bound is SquaredL2Int8 for a top-k scan that only needs
+// distances up to bound. It adds the same table entries into the same
+// four accumulators in the same order, and every 8 dimensions returns
+// the partial sum (s0+s1)+(s2+s3) as soon as it exceeds bound. Table
+// entries are squared distances, never negative, and float addition of a
+// non-negative term never decreases a sum, so the full distance is at
+// least any partial sum: a result ≤ bound is bit-identical to
+// SquaredL2Int8, and a result > bound means the full distance is > bound
+// too. A scan offering the result to a selector whose worst kept
+// distance is bound therefore rejects exactly the rows it would have
+// rejected anyway. It panics if len(lut) != 256*len(codes).
+func SquaredL2Int8Bound(codes []int8, lut []float64, bound float64) float64 {
+	if len(lut) != 256*len(codes) {
+		panic("vecmath: SquaredL2Int8Bound table size mismatch")
+	}
+	var s0, s1, s2, s3 float64
+	i := 0
+	tbl := lut
+	for ; i+8 <= len(codes); i += 8 {
+		blk := tbl[:2048]
+		s0 += blk[int(codes[i])+128]
+		s1 += blk[256+int(codes[i+1])+128]
+		s2 += blk[512+int(codes[i+2])+128]
+		s3 += blk[768+int(codes[i+3])+128]
+		s0 += blk[1024+int(codes[i+4])+128]
+		s1 += blk[1280+int(codes[i+5])+128]
+		s2 += blk[1536+int(codes[i+6])+128]
+		s3 += blk[1792+int(codes[i+7])+128]
+		tbl = tbl[2048:]
+		if s := (s0 + s1) + (s2 + s3); s > bound {
+			return s
+		}
+	}
+	if i+4 <= len(codes) {
+		blk := tbl[:1024]
+		s0 += blk[int(codes[i])+128]
+		s1 += blk[256+int(codes[i+1])+128]
+		s2 += blk[512+int(codes[i+2])+128]
+		s3 += blk[768+int(codes[i+3])+128]
+		tbl = tbl[1024:]
+		i += 4
 	}
 	for ; i < len(codes); i++ {
 		s0 += tbl[int(codes[i])+128]

@@ -62,6 +62,43 @@ func TestLengthMismatchPanics(t *testing.T) {
 	mustPanic("SquaredL2", func() { SquaredL2(a, b) })
 	mustPanic("Dot", func() { Dot(a, b) })
 	mustPanic("SquaredL2Int8", func() { SquaredL2Int8(make([]int8, 4), make([]float64, 256*3)) })
+	mustPanic("SquaredL2Int8Bound", func() { SquaredL2Int8Bound(make([]int8, 4), make([]float64, 256*3), 1) })
+}
+
+// TestSquaredL2Int8BoundMatchesUnbounded pins the bounded kernel's
+// contract over every residue class of the 8-wide block (dims 0..67) and
+// bounds on both sides of the distance: at or under the bound the result
+// is bit-identical to SquaredL2Int8; otherwise it exceeds the bound, and
+// so does the unbounded distance.
+func TestSquaredL2Int8BoundMatchesUnbounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for dim := 0; dim <= 67; dim++ {
+		lut := make([]float64, 256*dim)
+		codes := make([]int8, dim)
+		for trial := 0; trial < 50; trial++ {
+			for i := range lut {
+				lut[i] = rng.Float64() * rng.Float64()
+			}
+			for d := range codes {
+				codes[d] = int8(rng.Intn(256) - 128)
+			}
+			full := SquaredL2Int8(codes, lut)
+			bounds := []float64{full, math.Inf(1), 0, full * rng.Float64(), full * (1 + rng.Float64()), math.Nextafter(full, 0)}
+			for _, bound := range bounds {
+				got := SquaredL2Int8Bound(codes, lut, bound)
+				switch {
+				case full <= bound:
+					if got != full {
+						t.Fatalf("dim %d bound %v: got %v, want exactly %v", dim, bound, got, full)
+					}
+				case got <= bound:
+					t.Fatalf("dim %d bound %v: got %v ≤ bound but full distance %v is above it", dim, bound, got, full)
+				case got > full:
+					t.Fatalf("dim %d bound %v: partial %v exceeds full distance %v", dim, bound, got, full)
+				}
+			}
+		}
+	}
 }
 
 // TestSquaredL2Int8Lookup checks the ADC kernel against a hand-built

@@ -44,6 +44,13 @@ done
 echo "== go build =="
 go build ./...
 
+echo "== end-to-end benchmark module =="
+# bench/ is its own module (bench/go.mod), so the root build and tests
+# never compile it. Its tests include a smoke run of all four workloads
+# against a real tvdp-server child, checked for shape, zero failed
+# operations and a clean oracle.
+(cd bench && go vet ./... && go test ./...)
+
 echo "== concurrent serving gate (race) =="
 # The decomposed-lock store and group-commit WAL are only correct if the
 # mixed-workload and HTTP stress tests are race-clean: a failure here
@@ -68,6 +75,16 @@ echo "== shard fan-out gate (race) =="
 # invariant. A failure here should read as "sharding broke", not as a
 # generic suite failure.
 go test -race -run 'TestShardCountInvariance|TestFanOutShardError|TestFanOutCancelNoLeak|TestShardCountMismatch|TestClassificationReplication|TestGenerationComposes' ./internal/shard
+
+echo "== batched filters, label index, temporal index gate (race) =="
+# FilterIDs reads three subsystems under their read locks and, over
+# shards, splits and re-interleaves candidates; the label index must link
+# an image once however often it is annotated; and the temporal index
+# sorts lazily under the store's read lock, so concurrent first range
+# queries must neither race nor lose hits. Repeated runs give the race
+# detector more interleavings of the concurrent first queries.
+go test -race -count=5 -run 'TestFilterIDs|TestDuplicateAnnotation|TestFirstTimeRangeQueriesConcurrent' ./internal/store ./internal/shard
+go test -race -run 'TestFilterEquivalence|TestFilterDeletedCandidate' ./internal/query
 
 echo "== segment engine gate (race) =="
 # The segmented storage engine's moving parts — freeze-swap flush,
