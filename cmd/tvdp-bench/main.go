@@ -11,10 +11,6 @@
 //	                                    # baseline mutex vs concurrent path
 //	tvdp-bench -figure readpath         # exact vs quantized vs cached
 //	                                    # visual search + quantized recall
-//	tvdp-bench -figure sharding         # scatter-gather scaling: mixed
-//	                                    # workload at 1, 2, 4, 8 shards
-//	tvdp-bench -figure persistence      # snapshot vs segment engine:
-//	                                    # p99 and max single-op stall
 //	tvdp-bench -figure ingest           # inline vs streaming ack latency
 //	                                    # at paced load + recall parity
 package main
@@ -33,7 +29,7 @@ import (
 func main() {
 	var (
 		fig       = flag.String("fig", "", "figure to regenerate: 6, 7, 8, or all")
-		figure    = flag.String("figure", "", "alias for -fig; also accepts \"serving\" and \"readpath\"")
+		figure    = flag.String("figure", "", "alias for -fig; also accepts \"serving\", \"readpath\" and \"ingest\"")
 		ablations = flag.Bool("ablations", false, "run the A1..A7 ablation studies")
 		n         = flag.Int("n", 0, "override corpus size")
 		folds     = flag.Int("folds", 0, "cross-validation folds for Fig. 6 (0 = skip)")
@@ -41,23 +37,23 @@ func main() {
 		seed      = flag.Int64("seed", 2, "experiment seed")
 		workers   = flag.Int("workers", 0, "worker goroutines for parallel stages (0 = all CPUs); results are identical for any value")
 
-		clients  = flag.Int("clients", 8, "serving/sharding: concurrent workload clients")
-		readfrac = flag.Float64("readfrac", 0.5, "serving/sharding: fraction of ops that are reads")
-		duration = flag.Duration("duration", 2*time.Second, "serving/sharding: measured window per mode")
-		preload  = flag.Int("preload", 64, "serving/sharding: images preloaded before timing")
-		sync     = flag.Bool("sync", true, "serving/sharding: fsync every write (SyncEveryWrite)")
-		out      = flag.String("out", "", "serving/readpath/sharding: output JSON path (default BENCH_<figure>.json)")
+		clients  = flag.Int("clients", 8, "serving/ingest: concurrent workload clients")
+		readfrac = flag.Float64("readfrac", 0.5, "serving: fraction of ops that are reads")
+		duration = flag.Duration("duration", 2*time.Second, "serving: measured window per mode")
+		preload  = flag.Int("preload", 64, "serving: images preloaded before timing")
+		sync     = flag.Bool("sync", true, "serving: fsync every write (WAL sync mode immediate)")
+		out      = flag.String("out", "", "serving/readpath/ingest: output JSON path (default BENCH_<figure>.json)")
 
 		timingN       = flag.Int("timing-n", 0, "readpath: timing-store vector count (0 = default 20000)")
 		timingQueries = flag.Int("timing-queries", 0, "readpath: timed queries per mode (0 = default 240)")
 
-		rate = flag.Int("rate", 0, "persistence/ingest: paced total ops/sec across clients (0 = figure default; negative = unpaced saturating)")
+		rate = flag.Int("rate", 0, "ingest: paced total ops/sec across clients (0 = figure default; negative = unpaced saturating)")
 
 		records = flag.Int("records", 0, "ingest: uploads per mode (0 = figure default)")
 		bowK    = flag.Int("bow-vocab", 0, "ingest: SIFT-BoW vocabulary size (0 = figure default)")
 	)
 	flag.Parse()
-	special := *figure == "serving" || *figure == "readpath" || *figure == "sharding" || *figure == "persistence" || *figure == "ingest"
+	special := *figure == "serving" || *figure == "readpath" || *figure == "ingest"
 	if *fig == "" && *figure != "" && !special {
 		*fig = *figure
 	}
@@ -81,63 +77,6 @@ func main() {
 			path = "BENCH_readpath.json"
 		}
 		runReadpath(*scaleName, *seed, *timingN, *timingQueries, path)
-		return
-	}
-	if *figure == "sharding" {
-		path := *out
-		if path == "" {
-			path = "BENCH_sharding.json"
-		}
-		// Sharding has its own workload defaults (big preload, no
-		// per-write fsync); a shared flag only overrides the config when
-		// the user set it explicitly.
-		cfg := experiments.DefaultShardingConfig()
-		cfg.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "clients":
-				cfg.Clients = *clients
-			case "readfrac":
-				cfg.ReadFrac = *readfrac
-			case "duration":
-				cfg.Duration = *duration
-			case "preload":
-				cfg.Preload = *preload
-			case "sync":
-				cfg.Sync = *sync
-			}
-		})
-		runSharding(cfg, path)
-		return
-	}
-	if *figure == "persistence" {
-		path := *out
-		if path == "" {
-			path = "BENCH_persistence.json"
-		}
-		// Like sharding, the persistence figure has its own defaults (big
-		// preload so snapshot rewrites visibly stall); shared flags only
-		// override when set explicitly.
-		cfg := experiments.DefaultPersistenceConfig()
-		cfg.Seed = *seed
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "clients":
-				cfg.Clients = *clients
-			case "readfrac":
-				cfg.ReadFrac = *readfrac
-			case "duration":
-				cfg.Duration = *duration
-			case "preload":
-				cfg.Preload = *preload
-			case "rate":
-				cfg.TargetOps = *rate
-				if *rate < 0 {
-					cfg.TargetOps = 0 // unpaced: clients saturate
-				}
-			}
-		})
-		runPersistence(cfg, path)
 		return
 	}
 	if *figure == "ingest" {
@@ -251,42 +190,6 @@ func runServing(clients int, readfrac float64, duration time.Duration, preload i
 	if out != "" {
 		if err := r.WriteJSON(out); err != nil {
 			log.Fatalf("serving: writing %s: %v", out, err)
-		}
-		log.Printf("wrote %s", out)
-	}
-}
-
-func runSharding(cfg experiments.ShardingConfig, out string) {
-	log.Printf("sharding bench: counts %v, %d clients, %.0f%% reads, %s per count, preload %d, sync=%v, snapshot every %d",
-		cfg.Counts, cfg.Clients, cfg.ReadFrac*100, cfg.Duration, cfg.Preload, cfg.Sync, cfg.SnapshotEvery)
-	r, err := experiments.RunSharding(cfg)
-	if err != nil {
-		log.Fatalf("sharding: %v", err)
-	}
-	fmt.Println(r.Render())
-	if out != "" {
-		if err := r.WriteJSON(out); err != nil {
-			log.Fatalf("sharding: writing %s: %v", out, err)
-		}
-		log.Printf("wrote %s", out)
-	}
-}
-
-func runPersistence(cfg experiments.PersistenceConfig, out string) {
-	pace := "unpaced"
-	if cfg.TargetOps > 0 {
-		pace = fmt.Sprintf("%d ops/sec", cfg.TargetOps)
-	}
-	log.Printf("persistence bench: %d clients, %.0f%% reads, %s per engine at %s, preload %d, snapshot every %d vs flush at %d KiB",
-		cfg.Clients, cfg.ReadFrac*100, cfg.Duration, pace, cfg.Preload, cfg.SnapshotEvery, cfg.FlushThreshold>>10)
-	r, err := experiments.RunPersistence(cfg)
-	if err != nil {
-		log.Fatalf("persistence: %v", err)
-	}
-	fmt.Println(r.Render())
-	if out != "" {
-		if err := r.WriteJSON(out); err != nil {
-			log.Fatalf("persistence: writing %s: %v", out, err)
 		}
 		log.Printf("wrote %s", out)
 	}

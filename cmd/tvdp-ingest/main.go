@@ -17,7 +17,7 @@
 //     partition's queue fills, admission sheds and this command backs
 //     off and resubmits — the CLI face of the API's 429 contract.
 //
-// -refresh-every N snapshots the store off-path after every N
+// -refresh-every N flushes the store off-path after every N
 // extractions, the maintenance hook the paper's retraining loop plugs
 // into.
 package main
@@ -47,7 +47,7 @@ func main() {
 		stream   = flag.Bool("stream", false, "ack at WAL commit and extract on pipeline workers (default: inline sync)")
 		ingWork  = flag.Int("ingest-workers", 0, "streaming pipeline partitions (0 = default)")
 		ingQueue = flag.Int("ingest-queue", 0, "per-partition queue depth before admission sheds (0 = default)")
-		refresh  = flag.Int("refresh-every", 0, "snapshot the store off-path after every N extractions (0 disables)")
+		refresh  = flag.Int("refresh-every", 0, "flush the store off-path after every N extractions (0 disables)")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -113,7 +113,7 @@ func main() {
 		}
 	}
 	if *stream {
-		// Let the pipeline finish extraction/indexing before the snapshot.
+		// Let the pipeline finish extraction/indexing before the flush.
 		if err := p.Pipeline.Drain(ctx); err != nil {
 			log.Fatalf("draining pipeline: %v", err)
 		}
@@ -122,9 +122,9 @@ func main() {
 		}
 	}
 	if err := p.Store.Snapshot(); err != nil {
-		log.Fatalf("snapshot: %v", err)
+		log.Fatalf("flush: %v", err)
 	}
-	log.Printf("done: %d images into %s in %s (snapshot written)",
+	log.Printf("done: %d images into %s in %s (memtable flushed)",
 		*n, *dir, time.Since(start).Round(time.Millisecond))
 }
 

@@ -58,18 +58,9 @@ type Config struct {
 	// the exact on-disk layout earlier releases wrote; N > 1 places each
 	// shard under Dir/shard-XXX and scatter-gathers queries.
 	ShardCount int
-	// Engine selects the persistence engine: store.EngineSegment (the
-	// default) or store.EngineSnapshot (the legacy full-snapshot engine).
-	Engine store.Engine
 	// WALSync selects WAL batch durability: store.SyncBatch (default),
 	// store.SyncImmediate, or store.SyncNone.
 	WALSync store.WALSyncMode
-	// SyncEveryWrite fsyncs the WAL per mutation (same as WALSync =
-	// store.SyncImmediate).
-	SyncEveryWrite bool
-	// SnapshotEvery auto-compacts the WAL after this many mutations
-	// (snapshot engine only; 0 disables).
-	SnapshotEvery int
 	// FlushThreshold is the segment engine's memtable flush trigger in
 	// WAL bytes (0 means store.DefaultFlushThreshold).
 	FlushThreshold int64
@@ -95,7 +86,7 @@ type Config struct {
 	// extractions (0 disables the hook).
 	IngestRefreshEvery int
 	// OnIngestRefresh is the off-path maintenance hook (quantizer / BoW
-	// retrain, snapshot). It runs on the pipeline's refresher goroutine,
+	// retrain, store flush). It runs on the pipeline's refresher goroutine,
 	// never on an upload path.
 	OnIngestRefresh func(context.Context) error
 }
@@ -118,11 +109,8 @@ func Open(cfg Config) (*Platform, error) {
 		co, err := shard.Open(shard.Config{
 			Dir:             cfg.Dir,
 			ShardCount:      cfg.ShardCount,
-			Engine:          cfg.Engine,
 			WALSync:         cfg.WALSync,
-			SyncEveryWrite:  cfg.SyncEveryWrite,
 			HybridKinds:     cfg.HybridKinds,
-			SnapshotEvery:   cfg.SnapshotEvery,
 			FlushThreshold:  cfg.FlushThreshold,
 			CompactSegments: cfg.CompactSegments,
 		})
@@ -133,11 +121,8 @@ func Open(cfg Config) (*Platform, error) {
 	} else {
 		sc := store.DefaultConfig()
 		sc.Dir = cfg.Dir
-		sc.Engine = cfg.Engine
 		sc.WALSync = cfg.WALSync
-		sc.SyncEveryWrite = cfg.SyncEveryWrite
 		sc.HybridKinds = cfg.HybridKinds
-		sc.SnapshotEvery = cfg.SnapshotEvery
 		sc.FlushThreshold = cfg.FlushThreshold
 		sc.CompactSegments = cfg.CompactSegments
 		s, err := store.Open(sc)

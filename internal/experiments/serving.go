@@ -33,8 +33,8 @@ type ServingConfig struct {
 	Duration time.Duration
 	// Preload seeds the store with this many images before timing.
 	Preload int
-	// Sync enables SyncEveryWrite (fsync-bound writes — the regime group
-	// commit targets).
+	// Sync runs the store with WALSync = store.SyncImmediate (fsync-bound
+	// writes — the regime group commit targets).
 	Sync bool
 	// Seed drives the per-client workload RNGs.
 	Seed int64
@@ -63,12 +63,12 @@ type ServingModeResult struct {
 // ServingResult is the full two-mode comparison written to
 // BENCH_serving.json.
 type ServingResult struct {
-	Figure         string            `json:"figure"`
-	Clients        int               `json:"clients"`
-	ReadFrac       float64           `json:"read_frac"`
-	SyncEveryWrite bool              `json:"sync_every_write"`
-	Baseline       ServingModeResult `json:"baseline_global_mutex"`
-	Concurrent     ServingModeResult `json:"concurrent"`
+	Figure     string            `json:"figure"`
+	Clients    int               `json:"clients"`
+	ReadFrac   float64           `json:"read_frac"`
+	Sync       bool              `json:"sync_every_write"`
+	Baseline   ServingModeResult `json:"baseline_global_mutex"`
+	Concurrent ServingModeResult `json:"concurrent"`
 	// SpeedupX is concurrent ops/sec over baseline ops/sec.
 	SpeedupX float64 `json:"speedup_x"`
 }
@@ -113,7 +113,9 @@ func runServingMode(mode string, lk locker, cfg ServingConfig) (ServingModeResul
 	defer os.RemoveAll(dir)
 	scfg := store.DefaultConfig()
 	scfg.Dir = dir
-	scfg.SyncEveryWrite = cfg.Sync
+	if cfg.Sync {
+		scfg.WALSync = store.SyncImmediate
+	}
 	st, err := store.Open(scfg)
 	if err != nil {
 		return ServingModeResult{}, err
@@ -234,12 +236,12 @@ func RunServing(cfg ServingConfig) (*ServingResult, error) {
 		return nil, err
 	}
 	r := &ServingResult{
-		Figure:         "serving",
-		Clients:        cfg.Clients,
-		ReadFrac:       cfg.ReadFrac,
-		SyncEveryWrite: cfg.Sync,
-		Baseline:       base,
-		Concurrent:     conc,
+		Figure:     "serving",
+		Clients:    cfg.Clients,
+		ReadFrac:   cfg.ReadFrac,
+		Sync:       cfg.Sync,
+		Baseline:   base,
+		Concurrent: conc,
 	}
 	if base.OpsPerSec > 0 {
 		r.SpeedupX = conc.OpsPerSec / base.OpsPerSec
@@ -259,8 +261,8 @@ func (r *ServingResult) WriteJSON(path string) error {
 // Render returns the result as a text table.
 func (r *ServingResult) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Serving throughput — %d clients, %.0f%% reads, SyncEveryWrite=%v\n",
-		r.Clients, r.ReadFrac*100, r.SyncEveryWrite)
+	fmt.Fprintf(&b, "Serving throughput — %d clients, %.0f%% reads, fsync every write=%v\n",
+		r.Clients, r.ReadFrac*100, r.Sync)
 	fmt.Fprintf(&b, "%-24s %10s %9s %9s %9s %14s\n", "mode", "ops/sec", "p50 ms", "p99 ms", "ops", "fsyncs/write")
 	for _, m := range []ServingModeResult{r.Baseline, r.Concurrent} {
 		fmt.Fprintf(&b, "%-24s %10.0f %9.3f %9.3f %9d %14.3f\n",

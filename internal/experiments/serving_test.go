@@ -24,7 +24,7 @@ func TestRunServingSmoke(t *testing.T) {
 			t.Fatalf("mode %q did no work: %+v", m.Mode, m)
 		}
 		if m.Writes > 0 && m.Fsyncs == 0 {
-			t.Fatalf("mode %q wrote %d ops with zero fsyncs under SyncEveryWrite", m.Mode, m.Writes)
+			t.Fatalf("mode %q wrote %d ops with zero fsyncs under SyncImmediate", m.Mode, m.Writes)
 		}
 	}
 	// The baseline cannot batch (writes serialised), so it must fsync once

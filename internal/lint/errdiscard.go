@@ -10,8 +10,8 @@ import (
 // The errdiscard analyzer closes the quiet durability holes: a discarded
 // Close, Sync, Flush, or Write error in the storage or API layer. A WAL
 // whose final fsync error vanished is a log that lies about what is
-// durable; a snapshot temp file whose Close error was dropped can install
-// a truncated snapshot. `go vet` does not flag these (dropping an error
+// durable; a segment temp file whose Close error was dropped can install
+// a truncated segment. `go vet` does not flag these (dropping an error
 // is legal Go), and -race never will, so the rule lives here, scoped to
 // the packages where a lost write error costs data or masks a failed
 // read fan-out: internal/store, internal/api, internal/shard, and

@@ -15,9 +15,7 @@ import (
 //	    on a struct field: every read of the field must hold one of the
 //	    named mutexes (RLock suffices), every write must hold one
 //	    exclusively. Alternation encodes fields legally covered by more
-//	    than one regime (Store.gen is written under flushMu by the
-//	    segment engine and under the all-six quiesce — geoMu being the
-//	    innermost witness — by the snapshot engine).
+//	    than one regime (either named mutex suffices).
 //
 //	//tvdp:requires <clause>[,<clause>...]   clause = <mu>[|<mu>...][:r]
 //	    on a function: callers must hold every clause at the call site.

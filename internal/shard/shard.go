@@ -58,13 +58,10 @@ type Config struct {
 	Dir string
 	// ShardCount is the number of partitions; 0 and 1 both mean one.
 	ShardCount      int
-	Engine          store.Engine
 	WALSync         store.WALSyncMode
-	SyncEveryWrite  bool
 	RTree           index.RTreeConfig
 	LSH             index.LSHConfig
 	HybridKinds     []string
-	SnapshotEvery   int
 	FlushThreshold  int64
 	CompactSegments int
 }
@@ -92,13 +89,10 @@ func Open(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{cfg: cfg}
 	for i := 0; i < n; i++ {
 		scfg := store.Config{
-			Engine:          cfg.Engine,
 			WALSync:         cfg.WALSync,
-			SyncEveryWrite:  cfg.SyncEveryWrite,
 			RTree:           cfg.RTree,
 			LSH:             cfg.LSH,
 			HybridKinds:     cfg.HybridKinds,
-			SnapshotEvery:   cfg.SnapshotEvery,
 			FlushThreshold:  cfg.FlushThreshold,
 			CompactSegments: cfg.CompactSegments,
 		}
@@ -151,8 +145,9 @@ func checkLayout(root string, n int) error {
 		return fmt.Errorf("shard: %w", err)
 	}
 	// No marker. A single-store layout has its durability files directly
-	// in root — legacy snapshot.gob/wal.gob or a segment-engine MANIFEST;
-	// opening that with N>1 would strand the existing corpus.
+	// in root — a MANIFEST, or the retired snapshot engine's
+	// snapshot.gob/wal.gob; opening that with N>1 would strand the
+	// existing corpus.
 	if n > 1 {
 		for _, f := range []string{"snapshot.gob", "wal.gob", "MANIFEST"} {
 			if _, serr := os.Stat(filepath.Join(root, f)); serr == nil {

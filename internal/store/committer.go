@@ -14,7 +14,7 @@ import (
 // most one fsync for the whole batch, and wakes every waiter. Under
 // concurrent load that coalesces N fsyncs into one without weakening the
 // durability contract: a mutation still does not return until its bytes
-// (and, with SyncEveryWrite, its fsync) are on disk.
+// (and, with SyncImmediate, its fsync) are on disk.
 //
 // Ordering: frames are written in enqueue order, and enqueues happen
 // while the mutating goroutine still holds its subsystem write lock, so
@@ -208,42 +208,15 @@ func (c *walCommitter) flushBufLocked() error {
 	return nil
 }
 
-// rotate flushes every pending frame to the retiring log, closes it, and
-// installs the writer produced by makeNew — the WAL half of snapshot
-// compaction. Callers hold every subsystem write lock, so no new frames
-// can be enqueued while the swap is in flight.
-//
-//tvdp:requires catalogMu,imagesMu,featMu,annMu,kwMu,geoMu
-func (c *walCommitter) rotate(makeNew func() (*walWriter, error)) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	c.commitLocked()
-	if err := c.flushBufLocked(); err != nil {
-		c.w = nil
-		return err
-	}
-	if err := c.w.close(); err != nil {
-		c.w = nil
-		return err
-	}
-	w, err := makeNew()
-	if err != nil {
-		c.w = nil
-		return err
-	}
-	c.w = w
-	return nil
-}
-
 // presync makes every byte so far written to the current log durable —
 // the out-of-lock half of the rotation chain invariant (see rotateTo).
 // The segment engine calls it just before taking the subsystem locks so
 // that rotateTo's own fsync, which does run under them, covers only the
 // handful of frames that arrive in between. Any failure leaves the
-// committer write-dead, as in rotate: after a failed buffer flush the
-// log may hold a partial batch mid-file, and after a failed fsync the
-// kernel may have dropped the dirty pages — either way appending further
-// frames could persist a log with a hole in it.
+// committer write-dead: after a failed buffer flush the log may hold a
+// partial batch mid-file, and after a failed fsync the kernel may have
+// dropped the dirty pages — either way appending further frames could
+// persist a log with a hole in it.
 func (c *walCommitter) presync() error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -262,16 +235,16 @@ func (c *walCommitter) presync() error {
 	return nil
 }
 
-// rotateTo is rotate with the replacement writer already created — the
-// segment engine builds the next generation's log (two fsyncs) and syncs
-// the retiring log's backlog (presync) before taking any subsystem lock,
-// so the freeze-swap under all six locks drains the pending batch into
-// the retiring log, fsyncs that small residue, and swaps the pointer:
-// O(queued frames), never O(corpus). The retiring writer is returned
+// rotateTo flushes every pending frame to the retiring log and installs
+// w, the next generation's log. The segment engine creates w (two
+// fsyncs) and syncs the retiring log's backlog (presync) before taking
+// any subsystem lock, so the freeze-swap under all six locks drains the
+// pending batch into the retiring log, fsyncs that small residue, and
+// swaps the pointer: O(queued frames), never O(corpus). The retiring writer is returned
 // still open for the caller to close once the locks are released.
 // Callers hold every subsystem write lock. On failure the replacement is
-// closed and the committer goes write-dead (w = nil), exactly like a
-// failed rotate.
+// closed and the committer goes write-dead (w = nil), as after a failed
+// presync.
 //
 //tvdp:requires catalogMu,imagesMu,featMu,annMu,kwMu,geoMu
 func (c *walCommitter) rotateTo(w *walWriter) (*walWriter, error) {
@@ -331,14 +304,14 @@ func (c *walCommitter) close() error {
 }
 
 // WALStats reports group-commit counters since Open. FsyncsPerOp going
-// well below 1 under concurrent SyncEveryWrite load is the direct
+// well below 1 under concurrent SyncImmediate load is the direct
 // evidence that batching is working.
 type WALStats struct {
 	// Ops counts durably committed WAL operations.
 	Ops uint64
 	// Batches counts committer wake-ups that wrote at least one frame.
 	Batches uint64
-	// Fsyncs counts batch fsyncs (0 unless SyncEveryWrite).
+	// Fsyncs counts batch fsyncs (0 unless SyncImmediate).
 	Fsyncs uint64
 }
 

@@ -47,7 +47,7 @@ func TestGroupCommitBatching(t *testing.T) {
 	installSlowSync(t, 2*time.Millisecond)
 	cfg := DefaultConfig()
 	cfg.Dir = t.TempDir()
-	cfg.SyncEveryWrite = true
+	cfg.WALSync = SyncImmediate
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestGroupCommitBatching(t *testing.T) {
 		t.Fatalf("WALStats.Ops = %d, want %d", st.Ops, total)
 	}
 	if st.Fsyncs == 0 {
-		t.Fatal("SyncEveryWrite store recorded zero fsyncs")
+		t.Fatal("SyncImmediate store recorded zero fsyncs")
 	}
 	if st.Fsyncs*2 > st.Ops {
 		t.Fatalf("no group-commit coalescing: %d fsyncs for %d ops", st.Fsyncs, st.Ops)
@@ -106,7 +106,7 @@ func TestGroupCommitBatching(t *testing.T) {
 func TestConcurrentMixedWorkload(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dir = t.TempDir()
-	cfg.SyncEveryWrite = true
+	cfg.WALSync = SyncImmediate
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestGetImageMutationIsolation(t *testing.T) {
 func TestCloseUnblocksAndFailsMutations(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Dir = t.TempDir()
-	cfg.SyncEveryWrite = true
+	cfg.WALSync = SyncImmediate
 	s, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

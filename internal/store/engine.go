@@ -11,15 +11,14 @@ import (
 	"sync/atomic"
 )
 
-// The segment engine: snapshot-free persistence. Mutations land in the
-// in-memory memtable (memtable.go), journaled by the group-commit WAL
-// exactly as before; when the memtable crosses Config.FlushThreshold
-// bytes it is frozen and flushed to a sorted immutable segment file
-// *outside* the six subsystem locks. Only the freeze-swap itself holds
-// them, and it does O(queued frames) work — drain the pending batch into
-// the retiring log, swap the memtable and writer pointers — never
-// O(corpus). That removes the snapshot engine's stop-the-world stall,
-// which grows with corpus size and was the dominant tail-latency cost.
+// The segment engine: the store's persistence. Mutations land in the
+// in-memory memtable (memtable.go), journaled by the group-commit WAL;
+// when the memtable crosses Config.FlushThreshold bytes it is frozen and
+// flushed to a sorted immutable segment file *outside* the six subsystem
+// locks. Only the freeze-swap itself holds them, and it does O(queued
+// frames) work — drain the pending batch into the retiring log, swap the
+// memtable and writer pointers — never O(corpus), so no write ever waits
+// behind a stall that grows with the corpus.
 //
 // On-disk layout under Config.Dir:
 //
@@ -55,10 +54,8 @@ import (
 // usual bounded crash loss and is truncated away — unless a *later*
 // generation holds frames, which the chain invariant above makes proof
 // that fully-synced bytes went missing: that is media corruption and
-// refuses to open. A directory holding the legacy snapshot.gob/wal.gob
-// layout (and no MANIFEST) is migrated in place: state loads through the
-// legacy path once, is written out as segment 1, and the legacy files
-// are removed.
+// refuses to open. A directory holding a snapshot.gob or wal.gob (the
+// layout of the retired full-snapshot engine) is refused untouched.
 //
 // Compaction (compactOnce) runs on its own goroutine, concurrent with
 // flushing, with no subsystem lock ever held: when the live segment
@@ -240,7 +237,7 @@ func (e *segEngine) flushLocked() error {
 	// Pre-create the next generation's log outside every lock: its two
 	// fsyncs are the expensive part of rotation.
 	newGen := s.gen + 1
-	w, err := createWAL(s.cfg.Dir, walName(newGen), newGen, nil, s.cfg.WALSync)
+	w, err := createWAL(s.cfg.Dir, walName(newGen), newGen)
 	if err != nil {
 		return err
 	}
@@ -423,11 +420,20 @@ func (e *segEngine) compact() error {
 
 // ---- Open / recovery ----
 
+// legacyFiles are the retired full-snapshot engine's file names. Open
+// refuses a directory holding either: ignoring them would serve an empty
+// store over real data.
+var legacyFiles = []string{"snapshot.gob", "wal.gob"}
+
 // openSegment opens or recovers a segment-engine directory: manifest +
-// segments + WAL-tail replay, with in-place migration from the legacy
-// single-snapshot layout. Runs single-threaded at Open.
+// segments + WAL-tail replay. Runs single-threaded at Open.
 func (s *Store) openSegment() error {
 	dir := s.cfg.Dir
+	for _, name := range legacyFiles {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("store: %s holds %s, a file of the retired snapshot engine; refusing to open the directory", dir, name)
+		}
+	}
 	// Temp files are in-progress writes that never became durable state.
 	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
 	if err != nil {
@@ -443,12 +449,6 @@ func (s *Store) openSegment() error {
 		return err
 	}
 	if man == nil {
-		if _, serr := os.Stat(filepath.Join(dir, snapshotFile)); serr == nil {
-			return s.migrateLegacy()
-		}
-		if _, serr := os.Stat(filepath.Join(dir, walFile)); serr == nil {
-			return s.migrateLegacy()
-		}
 		// Fresh directory: install an empty manifest so every later open
 		// takes the segment path, then start generation 1.
 		fresh := manifest{Version: manifestVersion, FlushedGen: 0, NextSeg: 1}
@@ -456,13 +456,6 @@ func (s *Store) openSegment() error {
 			return err
 		}
 		return s.startSegment(fresh, nil)
-	}
-	// A crash after a migration's manifest install can strand the legacy
-	// files; the manifest owns everything now.
-	for _, legacy := range []string{snapshotFile, walFile} {
-		if err := os.Remove(filepath.Join(dir, legacy)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("store: removing superseded legacy file: %w", err)
-		}
 	}
 	live := make(map[string]bool, len(man.Segments))
 	for _, ref := range man.Segments {
@@ -569,14 +562,14 @@ func (s *Store) startSegment(man manifest, entries []os.DirEntry) error {
 	var w *walWriter
 	if len(gens) > 0 {
 		var err error
-		w, err = openWALAppend(dir, walName(gens[len(gens)-1]), s.cfg.WALSync)
+		w, err = openWALAppend(dir, walName(gens[len(gens)-1]))
 		if err != nil {
 			return err
 		}
 	} else {
 		var err error
 		s.gen = man.FlushedGen + 1
-		w, err = createWAL(dir, walName(s.gen), s.gen, nil, s.cfg.WALSync)
+		w, err = createWAL(dir, walName(s.gen), s.gen)
 		if err != nil {
 			return err
 		}
@@ -697,110 +690,11 @@ func (s *Store) loadSegment(seg *segmentData) error {
 	return nil
 }
 
-// migrateLegacy converts a legacy snapshot.gob/wal.gob directory to the
-// segment layout in place: load state through the legacy path, write it
-// out as segment 1, install the manifest, delete the legacy files. A
-// crash before the manifest install leaves the legacy layout intact
-// (migration simply reruns); after it, the stale legacy files are swept
-// by the next open.
-//
-//tvdp:serial legacy migration runs single-threaded at Open
-func (s *Store) migrateLegacy() error {
-	dir := s.cfg.Dir
-	snap, err := readSnapshot(dir)
-	if err != nil {
-		return err
-	}
-	if snap != nil {
-		if err := s.loadSnapshot(snap); err != nil {
-			return err
-		}
-		s.gen = snap.Generation
-	}
-	w, err := recoverWAL(dir, s.gen, s.cfg.WALSync, s.applyOp)
-	if err != nil {
-		return err
-	}
-	if err := w.close(); err != nil {
-		return fmt.Errorf("store: closing legacy WAL after migration replay: %w", err)
-	}
-	seg := s.stateToSegment()
-	nbytes, err := writeSegment(dir, segName(1), seg)
-	if err != nil {
-		return err
-	}
-	man := manifest{
-		Version:    manifestVersion,
-		FlushedGen: s.gen,
-		NextSeg:    2,
-		Segments:   []segmentRef{{Name: segName(1), Rows: seg.rows(), Bytes: nbytes}},
-	}
-	if err := writeManifest(dir, man); err != nil {
-		return err
-	}
-	for _, legacy := range []string{snapshotFile, walFile} {
-		if err := os.Remove(filepath.Join(dir, legacy)); err != nil && !errors.Is(err, os.ErrNotExist) {
-			return fmt.Errorf("store: removing migrated legacy file: %w", err)
-		}
-	}
-	if err := fsyncDir(dir); err != nil {
-		return err
-	}
-	return s.startSegment(man, nil)
-}
-
-// stateToSegment serialises the whole in-memory state as one segment —
-// the migration image. Single-threaded at Open; mirrors snapshotLocked's
-// sorted collection.
-//
-//tvdp:serial runs single-threaded at Open, before the store is shared
-func (s *Store) stateToSegment() *segmentData {
-	m := newMemtable()
-	for _, id := range s.ids {
-		m.addImage(s.images[id])
-	}
-	for id, kinds := range s.features {
-		for kind, vec := range kinds {
-			m.putFeature(&Feature{ImageID: id, Kind: kind, Vec: vec})
-		}
-	}
-	for _, c := range s.classifications {
-		m.addClass(c)
-	}
-	for id, anns := range s.annotations {
-		for i := range anns {
-			a := anns[i]
-			a.ImageID = id
-			m.addAnnotation(&a)
-		}
-	}
-	for id, words := range s.keywords {
-		m.keywords[id] = append([]string(nil), words...)
-	}
-	for _, u := range s.users {
-		m.addUser(u)
-	}
-	for _, k := range s.apiKeys {
-		m.addAPIKey(k)
-	}
-	for _, v := range s.videos {
-		m.addVideo(v)
-	}
-	for _, c := range s.campaigns {
-		m.addCampaign(c)
-	}
-	m.nextID = s.nextID.Load()
-	return m.toSegment(true)
-}
-
 // ---- Observability ----
 
 // EngineStats reports persistence-engine activity since Open.
 type EngineStats struct {
-	// Engine is the configured persistence engine.
-	Engine Engine
-	// Segments and SegmentBytes describe the live segment set (segment
-	// engine only).
+	// Segments and SegmentBytes describe the live segment set.
 	Segments     int
 	SegmentBytes int64
 	// MemBytes is the current memtable's WAL-byte footprint — the bound
@@ -809,14 +703,12 @@ type EngineStats struct {
 	// Flushes and Compactions count completed background operations.
 	Flushes     uint64
 	Compactions uint64
-	// Snapshots counts full-snapshot compactions (snapshot engine only).
-	Snapshots uint64
 }
 
-// EngineStats returns persistence counters (zero Engine stats for
-// memory-only stores).
+// EngineStats returns persistence counters (zero for memory-only
+// stores).
 func (s *Store) EngineStats() EngineStats {
-	st := EngineStats{Engine: s.cfg.Engine, Snapshots: s.snaps.Load()}
+	var st EngineStats
 	if s.eng == nil {
 		return st
 	}

@@ -1,9 +1,12 @@
 package store
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,7 +90,7 @@ func TestSegmentFlushRecoverRoundtrip(t *testing.T) {
 		t.Fatalf("after flush: live log %s missing", walName(2))
 	}
 	st := s.EngineStats()
-	if st.Engine != EngineSegment || st.Flushes != 1 || st.Segments != 1 || st.MemBytes != 0 {
+	if st.Flushes != 1 || st.Segments != 1 || st.MemBytes != 0 {
 		t.Fatalf("stats after flush: %+v", st)
 	}
 	if err := s.Close(); err != nil {
@@ -313,92 +316,69 @@ func TestSegmentBackgroundFlush(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration: a directory written by the snapshot
-// engine (snapshot.gob + wal.gob tail) opens under the segment engine,
-// comes back intact, and is rewritten in place as segment 1 + MANIFEST
-// with the legacy files gone.
-func TestLegacySnapshotMigration(t *testing.T) {
-	dir := t.TempDir()
-	s := snapStore(t, dir)
-	var ids []uint64
-	for i := 0; i < 3; i++ {
-		id, err := s.AddImage(tinyImage(t, float64(i*30)))
-		if err != nil {
+// legacyWAL encodes ops the way the retired snapshot engine's v1
+// wal.gob did: one continuous gob stream.
+func legacyWAL(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	enc := gob.NewEncoder(&buf)
+	for i := 1; i <= 3; i++ {
+		img := tinyImage(t, float64(i*20))
+		img.ID = uint64(i)
+		img.Scene = img.FOV.SceneLocation()
+		if err := enc.Encode(walOp{Kind: opAddImage, Image: &img}); err != nil {
 			t.Fatal(err)
 		}
-		ids = append(ids, id)
 	}
-	if err := s.AddKeywords(ids[0], []string{"legacy"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Snapshot(); err != nil { // snapshot.gob at generation 1
-		t.Fatal(err)
-	}
-	if _, err := s.AddImage(tinyImage(t, 100)); err != nil { // wal.gob tail
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	return buf.Bytes()
+}
 
-	m := diskStore(t, dir) // default engine = segment → migrates
-	if got := m.NumImages(); got != 4 {
-		t.Fatalf("migrated %d images, want 4", got)
-	}
-	if kw := m.KeywordsFor(ids[0]); len(kw) != 1 || kw[0] != "legacy" {
-		t.Fatalf("keywords lost in migration: %v", kw)
-	}
-	files := segFiles(t, dir)
-	if files[snapshotFile] || files[walFile] {
-		t.Fatalf("legacy files survive migration: %v", files)
-	}
-	if !files[manifestFile] || !files[segName(1)] {
-		t.Fatalf("migrated layout incomplete: %v", files)
-	}
-	if _, err := m.AddImage(tinyImage(t, 200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r := diskStore(t, dir)
-	defer r.Close()
-	if got := r.NumImages(); got != 5 {
-		t.Fatalf("post-migration reopen: %d images, want 5", got)
+// TestLegacyLayoutRefused: a directory holding a file of the retired
+// snapshot engine must fail Open with an error naming the file, and the
+// failed Open must leave the directory exactly as it found it — the
+// legacy bytes intact, no MANIFEST, no log. Serving an empty store over
+// that data would look like data loss.
+func TestLegacyLayoutRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data func(t *testing.T) []byte
+	}{
+		{"wal.gob", legacyWAL},
+		{"snapshot.gob", func(*testing.T) []byte { return []byte("legacy snapshot") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, tc.name)
+			data := tc.data(t)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := DefaultConfig()
+			cfg.Dir = dir
+			s, err := Open(cfg)
+			if err == nil {
+				s.Close()
+				t.Fatalf("Open accepted a directory holding %s", tc.name)
+			}
+			if !strings.Contains(err.Error(), tc.name) {
+				t.Fatalf("Open error %q does not name %s", err, tc.name)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, data) {
+				t.Fatalf("%s rewritten by the refused Open", tc.name)
+			}
+			if files := segFiles(t, dir); len(files) != 1 {
+				t.Fatalf("refused Open changed the directory: %v", files)
+			}
+		})
 	}
 }
 
-// TestSnapshotEngineRefusesSegmentDir: opening a MANIFEST-bearing
-// directory under the legacy engine must fail loudly instead of starting
-// an empty store beside the real data.
-func TestSnapshotEngineRefusesSegmentDir(t *testing.T) {
-	dir := t.TempDir()
-	s := diskStore(t, dir)
-	if _, err := s.AddImage(tinyImage(t, 10)); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Dir = dir
-	cfg.Engine = EngineSnapshot
-	if _, err := Open(cfg); err == nil {
-		t.Fatal("snapshot engine opened a segment-engine directory")
-	}
-}
-
-// TestParseEngineAndSyncMode covers the flag-string surface.
-func TestParseEngineAndSyncMode(t *testing.T) {
-	if e, err := ParseEngine("segment"); err != nil || e != EngineSegment {
-		t.Fatalf("ParseEngine(segment) = %v, %v", e, err)
-	}
-	if e, err := ParseEngine("snapshot"); err != nil || e != EngineSnapshot {
-		t.Fatalf("ParseEngine(snapshot) = %v, %v", e, err)
-	}
-	if _, err := ParseEngine("lsm"); err == nil {
-		t.Fatal("ParseEngine accepted unknown engine")
-	}
+// TestParseWALSyncMode covers the -wal-sync flag-string surface.
+func TestParseWALSyncMode(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want WALSyncMode
@@ -459,7 +439,7 @@ func TestSegmentWALChainMillionGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, gen := range []uint64{1000000, 1000001} {
-		w, err := createWAL(dir, walName(gen), gen, nil, SyncBatch)
+		w, err := createWAL(dir, walName(gen), gen)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +535,7 @@ func TestRotationCrashTornRetiringTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearWALTail(t, dir, 1)
-	w, err := createWAL(dir, walName(2), 2, nil, SyncBatch)
+	w, err := createWAL(dir, walName(2), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,9 +575,15 @@ func TestTornTailUnderLaterFramesRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearWALTail(t, dir, 1)
-	w, err := createWAL(dir, walName(2), 2,
-		[]walOp{{Kind: opAddUser, User: &User{ID: 7, Name: "u", Role: "worker"}}}, SyncBatch)
+	w, err := createWAL(dir, walName(2), 2)
 	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := encodeFrame(walOp{Kind: opAddUser, User: &User{ID: 7, Name: "u", Role: "worker"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.b.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.close(); err != nil {

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// Engine-equivalence tests: the persistence engine is a durability
-// implementation detail, so a fixed op sequence must yield an identical
-// Backend query surface whichever engine journals it — before a flush,
-// after one, after compaction, and after recovery.
+// Engine-equivalence tests: persistence is a durability implementation
+// detail, so a fixed op sequence must yield the same Backend query
+// surface from the segment engine as from a memory-only store — before a
+// flush, after one, after compaction, and after recovery.
 
 // equivWorkload drives the fixed mixed op sequence. checkpoint is called
 // at the points where the segment engine is forced to flush, so the
@@ -160,15 +160,14 @@ func diffSurfaces(t *testing.T, label, want, got string) {
 	t.Fatalf("%s: query surfaces differ in length (%d vs %d lines)", label, len(wl), len(gl))
 }
 
-// TestEngineEquivalence runs the fixed workload through the snapshot
-// engine and the segment engine (with forced flushes splitting it across
-// segments) and requires identical query surfaces — live, after
-// compaction, and after a reopen of each.
+// TestEngineEquivalence runs the fixed workload through a memory-only
+// store and through the segment engine (with forced flushes splitting it
+// across segments) and requires identical query surfaces — live, after
+// compaction, and after a reopen.
 func TestEngineEquivalence(t *testing.T) {
-	snapDir := t.TempDir()
-	snap := snapStore(t, snapDir)
-	equivWorkload(t, snap, func() {})
-	want := querySurface(t, snap)
+	mem := memStore(t)
+	equivWorkload(t, mem, func() {})
+	want := querySurface(t, mem)
 
 	segDir := t.TempDir()
 	seg := diskStore(t, segDir)
@@ -186,29 +185,22 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 	diffSurfaces(t, "segment compacted", want, querySurface(t, seg))
 
-	if err := snap.Close(); err != nil {
-		t.Fatal(err)
-	}
 	if err := seg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	snap2 := snapStore(t, snapDir)
-	defer snap2.Close()
-	diffSurfaces(t, "snapshot reopened", want, querySurface(t, snap2))
 	seg2 := diskStore(t, segDir)
 	defer seg2.Close()
 	diffSurfaces(t, "segment reopened", want, querySurface(t, seg2))
 }
 
 // TestGenerationMovesOnEveryWrite pins the Backend contract the caches
-// depend on: every data-plane write advances Generation(), under both
-// engines.
+// depend on: every data-plane write advances Generation(), on a
+// memory-only store and on the segment engine.
 func TestGenerationMovesOnEveryWrite(t *testing.T) {
-	for _, engine := range []Engine{EngineSnapshot, EngineSegment} {
-		t.Run(string(engine), func(t *testing.T) {
+	for _, tc := range []struct{ name, dir string }{{"memory", ""}, {"segment", t.TempDir()}} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.Dir = t.TempDir()
-			cfg.Engine = engine
+			cfg.Dir = tc.dir
 			s, err := Open(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -12,8 +12,8 @@ import (
 // The manifest is the segment engine's root pointer: a small versioned
 // file recording the live segment set and how much of WAL history those
 // segments already contain. Every flush and every compaction installs a
-// new manifest atomically (temp + rename + dir fsync, same discipline as
-// PR 2 snapshots), so recovery always sees either the old segment set or
+// new manifest atomically (temp + rename + dir fsync, the same
+// discipline as a WAL install), so recovery always sees either the old segment set or
 // the new one — never a half-installed mixture. Files not reachable from
 // the manifest (a crashed flush's orphan segment, a superseded
 // compaction input, a fully-flushed WAL generation) are garbage and are
@@ -63,7 +63,7 @@ func writeManifest(dir string, m manifest) error {
 }
 
 // readManifest loads the manifest, returning (nil, nil) when the
-// directory has none (fresh dir, or a legacy snapshot layout).
+// directory has none (a fresh directory).
 func readManifest(dir string) (*manifest, error) {
 	if _, err := os.Stat(filepath.Join(dir, manifestFile)); errors.Is(err, os.ErrNotExist) {
 		return nil, nil

@@ -2,7 +2,7 @@
 // paper's Fig. 2 ER schema — Images with FOV and scene-location spatial
 // descriptors, visual features, content classifications and annotations,
 // manual keywords, users and API keys — over an in-memory table set with
-// write-ahead-log durability and snapshot compaction, plus the secondary
+// write-ahead-log durability and immutable segments, plus the secondary
 // indexes of §IV-C (R-tree, LSH, inverted, temporal) maintained on write.
 package store
 

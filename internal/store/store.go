@@ -15,31 +15,6 @@ import (
 	"repro/internal/index"
 )
 
-// Engine selects the persistence engine for directory-backed stores.
-type Engine string
-
-const (
-	// EngineSegment (the default) persists incrementally: memtable +
-	// per-generation WAL + sorted immutable segments + background
-	// compaction. See engine.go.
-	EngineSegment Engine = "segment"
-	// EngineSnapshot is the legacy full-snapshot engine: one snapshot.gob
-	// rewritten under all six locks at every compaction.
-	EngineSnapshot Engine = "snapshot"
-)
-
-// ParseEngine parses a -engine flag value ("" means the default).
-func ParseEngine(v string) (Engine, error) {
-	switch Engine(v) {
-	case "", EngineSegment:
-		return EngineSegment, nil
-	case EngineSnapshot:
-		return EngineSnapshot, nil
-	default:
-		return "", fmt.Errorf("%w: unknown storage engine %q (want segment or snapshot)", ErrInvalid, v)
-	}
-}
-
 // WALSyncMode selects how aggressively the WAL committer makes batches
 // durable. The zero value is SyncBatch.
 type WALSyncMode int
@@ -50,7 +25,9 @@ const (
 	// process panic loses nothing.
 	SyncBatch WALSyncMode = iota
 	// SyncImmediate fsyncs every batch before acknowledging its
-	// mutations (the SyncEveryWrite contract).
+	// mutations: every mutation blocks until its WAL batch is fsynced
+	// (the committer coalesces concurrent mutations into one fsync per
+	// batch).
 	SyncImmediate
 	// SyncNone buffers acknowledged batches in memory and writes them
 	// out only when 256 KiB accumulate (or on rotation/close) — a crash
@@ -110,20 +87,10 @@ const (
 // Config controls the engine.
 type Config struct {
 	// Dir is the durability directory; empty means memory-only (no WAL,
-	// no snapshots — used by tests and ephemeral pipelines).
+	// no segments — used by tests and ephemeral pipelines).
 	Dir string
-	// Engine selects the persistence engine ("" means EngineSegment).
-	// EngineSnapshot refuses to open a segment-layout directory; the
-	// segment engine migrates a legacy snapshot layout in place.
-	Engine Engine
-	// WALSync selects batch durability (default SyncBatch). Setting
-	// SyncEveryWrite upgrades SyncBatch to SyncImmediate for
-	// compatibility.
+	// WALSync selects batch durability (default SyncBatch).
 	WALSync WALSyncMode
-	// SyncEveryWrite makes every mutation block until its WAL batch is
-	// fsynced (the committer coalesces concurrent mutations into one
-	// fsync per batch). Equivalent to WALSync = SyncImmediate.
-	SyncEveryWrite bool
 	// RTree sizes the spatial index nodes.
 	RTree index.RTreeConfig
 	// LSH sizes the per-feature-kind visual indexes.
@@ -131,16 +98,11 @@ type Config struct {
 	// HybridKinds lists feature kinds that additionally maintain a
 	// spatial-visual hybrid tree for single-pass hybrid queries.
 	HybridKinds []string
-	// SnapshotEvery auto-compacts the WAL after this many logged
-	// mutations (0 disables auto-compaction). Snapshot engine only; the
-	// segment engine flushes by bytes, not op count.
-	SnapshotEvery int
 	// FlushThreshold is the memtable size in WAL bytes that triggers a
-	// background segment flush (0 means DefaultFlushThreshold). Segment
-	// engine only.
+	// background segment flush (0 means DefaultFlushThreshold).
 	FlushThreshold int64
 	// CompactSegments is the live segment count that triggers background
-	// compaction (0 means DefaultCompactSegments). Segment engine only.
+	// compaction (0 means DefaultCompactSegments).
 	CompactSegments int
 }
 
@@ -172,7 +134,8 @@ func DefaultConfig() Config {
 // Lock ordering discipline: a goroutine that needs several locks MUST
 // acquire them in the order listed above (catalogMu first, geoMu last)
 // and may release them in any order. Skipping locks is fine; acquiring
-// out of order is a deadlock. Snapshot/Close take all six in order.
+// out of order is a deadlock. The flush freeze-swap and Close take all
+// six in order.
 //
 // nextID and closed are atomics so ID allocation and shutdown checks
 // never serialise on any subsystem. WAL durability is handled by the
@@ -240,24 +203,12 @@ type Store struct {
 
 	// com is the group-commit WAL committer (nil for memory-only stores).
 	com *walCommitter
-	// walOps counts committed mutations since the last snapshot
-	// (auto-compaction trigger); compactMu ensures one compaction runs at
-	// a time and guards walOps' check-and-reset cycle (the increment in
-	// awaitCommit is a lock-free atomic add, excused inline). Snapshot
-	// engine only.
-	//tvdp:guardedby compactMu
-	walOps    atomic.Int64
-	compactMu sync.Mutex
-	// gen is the current WAL generation. Snapshot engine: the snapshot
-	// generation, with the live WAL carrying the same number (written only
-	// at Open and under all six locks in snapshotLocked — geoMu, the last
-	// lock of the quiesce, is the annotation's witness). Segment engine:
-	// the live wal-%06d.log number (written at Open and under flushMu +
-	// all six locks in flushOnce).
-	//tvdp:guardedby flushMu|geoMu
+	// gen is the live wal-%06d.log generation (written at Open and under
+	// flushMu + all six locks in flushOnce).
+	//tvdp:guardedby flushMu
 	gen uint64
 
-	// Segment engine state (nil/zero under the snapshot engine): mem is
+	// Segment engine state (nil/zero for memory-only stores): mem is
 	// the current memtable window (fields written under their subsystem
 	// locks — see memtable.go), memBytes its WAL-byte footprint (the
 	// flush trigger), eng the background flush/compaction worker.
@@ -270,9 +221,6 @@ type Store struct {
 	memThrottleMu sync.Mutex
 	//tvdp:guardedby memThrottleMu
 	memFreed *sync.Cond
-	// snaps counts completed full snapshots (snapshot engine
-	// observability).
-	snaps atomic.Uint64
 }
 
 // Open creates or recovers a store.
@@ -285,90 +233,48 @@ func Open(cfg Config) (*Store, error) {
 	if cfg.LSH.Tables == 0 {
 		cfg.LSH = index.DefaultLSHConfig(1)
 	}
-	if cfg.Engine == "" {
-		cfg.Engine = EngineSegment
-	}
-	if cfg.Engine != EngineSegment && cfg.Engine != EngineSnapshot {
-		return nil, fmt.Errorf("%w: unknown storage engine %q", ErrInvalid, cfg.Engine)
-	}
-	if cfg.SyncEveryWrite && cfg.WALSync == SyncBatch {
-		cfg.WALSync = SyncImmediate
-	}
 	if cfg.FlushThreshold <= 0 {
 		cfg.FlushThreshold = DefaultFlushThreshold
 	}
 	if cfg.CompactSegments < 2 {
 		cfg.CompactSegments = DefaultCompactSegments
 	}
-	s := &Store{cfg: cfg}
-	s.memFreed = sync.NewCond(&s.memThrottleMu)
-	if err := s.resetState(); err != nil {
+	sp, err := index.NewRTree(cfg.RTree)
+	if err != nil {
 		return nil, err
 	}
+	s := &Store{
+		cfg:             cfg,
+		images:          make(map[uint64]*Image),
+		features:        make(map[uint64]map[string][]float64),
+		classifications: make(map[uint64]*Classification),
+		classByName:     make(map[string]uint64),
+		annotations:     make(map[uint64][]Annotation),
+		byLabel:         make(map[uint64]map[int][]uint64),
+		keywords:        make(map[uint64][]string),
+		users:           make(map[uint64]*User),
+		apiKeys:         make(map[string]*APIKey),
+		videos:          make(map[uint64]*Video),
+		campaigns:       make(map[uint64]*CampaignRec),
+		spatial:         sp,
+		visual:          make(map[string]*index.LSH),
+		hybrid:          make(map[string]*index.HybridTree),
+		text:            index.NewInverted(),
+		temporal:        index.NewTemporal(),
+	}
+	s.memFreed = sync.NewCond(&s.memThrottleMu)
 	if cfg.Dir == "" {
 		return s, nil
 	}
-	if cfg.Engine == EngineSegment {
-		if err := s.openSegment(); err != nil {
-			return nil, err
-		}
-		return s, nil
-	}
-	// Legacy snapshot engine. Refuse a segment-layout directory outright:
-	// quietly ignoring the MANIFEST would serve a stale prefix of the
-	// data and then corrupt the layout on the first snapshot.
-	if man, err := readManifest(cfg.Dir); err != nil {
-		return nil, err
-	} else if man != nil {
-		return nil, fmt.Errorf("store: %s holds a segment-engine layout (MANIFEST present); open it with Engine=segment", cfg.Dir)
-	}
-	snap, err := readSnapshot(cfg.Dir)
-	if err != nil {
+	if err := s.openSegment(); err != nil {
 		return nil, err
 	}
-	if snap != nil {
-		if err := s.loadSnapshot(snap); err != nil {
-			return nil, err
-		}
-		s.gen = snap.Generation
-	}
-	w, err := recoverWAL(cfg.Dir, s.gen, cfg.WALSync, s.applyOp)
-	if err != nil {
-		return nil, err
-	}
-	s.com = newWALCommitter(w, cfg.WALSync)
 	return s, nil
 }
 
-//tvdp:serial called from Open and single-threaded recovery only
-func (s *Store) resetState() error {
-	sp, err := index.NewRTree(s.cfg.RTree)
-	if err != nil {
-		return err
-	}
-	s.images = make(map[uint64]*Image)
-	s.ids = nil
-	s.features = make(map[uint64]map[string][]float64)
-	s.classifications = make(map[uint64]*Classification)
-	s.classByName = make(map[string]uint64)
-	s.annotations = make(map[uint64][]Annotation)
-	s.byLabel = make(map[uint64]map[int][]uint64)
-	s.keywords = make(map[uint64][]string)
-	s.users = make(map[uint64]*User)
-	s.apiKeys = make(map[string]*APIKey)
-	s.videos = make(map[uint64]*Video)
-	s.campaigns = make(map[uint64]*CampaignRec)
-	s.spatial = sp
-	s.visual = make(map[string]*index.LSH)
-	s.hybrid = make(map[string]*index.HybridTree)
-	s.text = index.NewInverted()
-	s.temporal = index.NewTemporal()
-	s.nextID.Store(0)
-	return nil
-}
-
 // lockAll / unlockAll take or release every subsystem lock in the
-// documented order (used by Snapshot and Close to quiesce the store).
+// documented order (used by the flush freeze-swap and Close to quiesce
+// the store).
 func (s *Store) lockAll() {
 	s.catalogMu.Lock()
 	s.imagesMu.Lock()
@@ -387,7 +293,7 @@ func (s *Store) unlockAll() {
 	s.catalogMu.Unlock()
 }
 
-// bumpNextID raises the allocator to at least id (replay/snapshot load).
+// bumpNextID raises the allocator to at least id (WAL replay/segment load).
 func (s *Store) bumpNextID(id uint64) {
 	for {
 		cur := s.nextID.Load()
@@ -452,37 +358,27 @@ func (s *Store) enqueueN(frame []byte, ops uint64) <-chan error {
 	if s.com == nil || frame == nil {
 		return nil
 	}
-	if s.eng != nil {
-		// Callers hold their subsystem write lock here, the same lock
-		// their memtable record was made under, so the byte count can
-		// never run ahead of the records it measures.
-		s.memBytes.Add(int64(len(frame)))
-	}
+	// Callers hold their subsystem write lock here, the same lock their
+	// memtable record was made under, so the byte count can never run
+	// ahead of the records it measures.
+	s.memBytes.Add(int64(len(frame)))
 	return s.com.enqueue(frame, ops)
 }
 
 // awaitCommit blocks until the batch containing the caller's frame is
-// durable, then nudges the persistence engine: a background flush kick
-// for the segment engine, inline auto-compaction for the snapshot
-// engine. Called with no locks held.
-func (s *Store) awaitCommit(wait <-chan error, ops int) error {
+// durable, then kicks a background flush once the memtable crosses the
+// flush threshold. Called with no locks held.
+func (s *Store) awaitCommit(wait <-chan error) error {
 	if wait == nil {
 		return nil
 	}
 	if err := <-wait; err != nil {
 		return err
 	}
-	if s.eng != nil {
-		if s.memBytes.Load() >= s.cfg.FlushThreshold {
-			s.eng.kick()
-		}
-		s.throttleMem()
-		return nil
+	if s.memBytes.Load() >= s.cfg.FlushThreshold {
+		s.eng.kick()
 	}
-	//tvdp:nolint guardedby the increment is a lock-free atomic add; compactMu guards only the check-and-reset cycle (maybeCompact, snapshotLocked)
-	if s.cfg.SnapshotEvery > 0 && int(s.walOps.Add(int64(ops))) >= s.cfg.SnapshotEvery {
-		return s.maybeCompact()
-	}
+	s.throttleMem()
 	return nil
 }
 
@@ -519,24 +415,6 @@ func (s *Store) wakeThrottled() {
 	s.memThrottleMu.Unlock()
 }
 
-// maybeCompact runs at most one auto-compaction at a time; concurrent
-// crossers skip rather than queueing up behind each other. It calls
-// snapshotNow directly (not Snapshot) because it already holds
-// compactMu — re-entering Snapshot would self-deadlock.
-func (s *Store) maybeCompact() error {
-	if !s.compactMu.TryLock() {
-		return nil
-	}
-	defer s.compactMu.Unlock()
-	if int(s.walOps.Load()) < s.cfg.SnapshotEvery {
-		return nil // a racing compaction already reset the counter
-	}
-	if err := s.snapshotNow(); err != nil {
-		return fmt.Errorf("store: auto-compaction: %w", err)
-	}
-	return nil
-}
-
 // applyOp replays one WAL op into in-memory state (no re-logging). Used
 // by recovery only, before the store is shared.
 //
@@ -569,174 +447,17 @@ func (s *Store) applyOp(op walOp) error {
 	}
 }
 
-//tvdp:serial snapshot load runs single-threaded before the store is shared
-func (s *Store) loadSnapshot(st *snapshotState) error {
-	if err := s.resetState(); err != nil {
-		return err
-	}
-	for _, img := range st.Images {
-		if err := s.applyImage(img); err != nil {
-			return err
-		}
-	}
-	for _, c := range st.Classifications {
-		if err := s.applyClassification(c); err != nil {
-			return err
-		}
-	}
-	for _, f := range st.Features {
-		if err := s.applyFeature(f); err != nil {
-			return err
-		}
-	}
-	for _, a := range st.Annotations {
-		if err := s.applyAnnotation(a); err != nil {
-			return err
-		}
-	}
-	for _, k := range st.Keywords {
-		if err := s.applyKeywords(k.ImageID, k.Words); err != nil {
-			return err
-		}
-	}
-	for _, u := range st.Users {
-		if err := s.applyUser(u); err != nil {
-			return err
-		}
-	}
-	for _, k := range st.APIKeys {
-		s.applyAPIKey(k)
-	}
-	for _, v := range st.Videos {
-		if err := s.applyVideo(v); err != nil {
-			return err
-		}
-	}
-	for _, c := range st.Campaigns {
-		if err := s.applyCampaign(c); err != nil {
-			return err
-		}
-	}
-	s.nextID.Store(st.NextID)
-	return nil
-}
-
-// Snapshot compacts durability state. Snapshot engine: writes a full
-// snapshot and truncates the WAL under all six locks. Segment engine:
-// forces a memtable flush (the freeze-swap holds the locks only
-// briefly; segment and manifest writes happen off-lock). No-op for
-// memory-only stores.
+// Snapshot forces a memtable flush to a new segment (the freeze-swap
+// holds the locks only briefly; segment and manifest writes happen
+// off-lock). No-op for memory-only stores.
 func (s *Store) Snapshot() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	if s.eng != nil {
-		return s.eng.flushOnce()
-	}
-	// compactMu serialises explicit snapshots against auto-compaction and
-	// guards the walOps check-and-reset cycle; it is always taken before
-	// any subsystem lock.
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	return s.snapshotNow()
-}
-
-// snapshotNow quiesces the store and writes a full snapshot. Snapshot
-// engine only.
-//
-//tvdp:requires compactMu
-func (s *Store) snapshotNow() error {
-	s.lockAll()
-	defer s.unlockAll()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	//tvdp:nolint lockorder snapshot fsync under all six locks is the design: compaction must quiesce the store (see DESIGN.md "Durability")
-	return s.snapshotLocked()
-}
-
-// snapshotLocked is snapshotNow with every subsystem lock already held.
-//
-//tvdp:requires compactMu,catalogMu,imagesMu,featMu,annMu,kwMu,geoMu
-func (s *Store) snapshotLocked() error {
-	if s.cfg.Dir == "" {
+	if s.eng == nil {
 		return nil
 	}
-	st := &snapshotState{NextID: s.nextID.Load()}
-	for _, id := range s.ids {
-		st.Images = append(st.Images, s.images[id])
-	}
-	for id, kinds := range s.features {
-		for kind, vec := range kinds {
-			st.Features = append(st.Features, &Feature{ImageID: id, Kind: kind, Vec: vec})
-		}
-	}
-	sort.Slice(st.Features, func(i, j int) bool {
-		if st.Features[i].ImageID != st.Features[j].ImageID {
-			return st.Features[i].ImageID < st.Features[j].ImageID
-		}
-		return st.Features[i].Kind < st.Features[j].Kind
-	})
-	for _, c := range s.classifications {
-		st.Classifications = append(st.Classifications, c)
-	}
-	sort.Slice(st.Classifications, func(i, j int) bool {
-		return st.Classifications[i].ID < st.Classifications[j].ID
-	})
-	var imgIDs []uint64
-	for id := range s.annotations {
-		imgIDs = append(imgIDs, id)
-	}
-	sort.Slice(imgIDs, func(i, j int) bool { return imgIDs[i] < imgIDs[j] })
-	for _, id := range imgIDs {
-		for i := range s.annotations[id] {
-			a := s.annotations[id][i]
-			st.Annotations = append(st.Annotations, &a)
-		}
-	}
-	imgIDs = imgIDs[:0]
-	for id := range s.keywords {
-		imgIDs = append(imgIDs, id)
-	}
-	sort.Slice(imgIDs, func(i, j int) bool { return imgIDs[i] < imgIDs[j] })
-	for _, id := range imgIDs {
-		st.Keywords = append(st.Keywords, keywordOp{ImageID: id, Words: s.keywords[id]})
-	}
-	for _, u := range s.users {
-		st.Users = append(st.Users, u)
-	}
-	sort.Slice(st.Users, func(i, j int) bool { return st.Users[i].ID < st.Users[j].ID })
-	for _, k := range s.apiKeys {
-		st.APIKeys = append(st.APIKeys, k)
-	}
-	sort.Slice(st.APIKeys, func(i, j int) bool { return st.APIKeys[i].Key < st.APIKeys[j].Key })
-	for _, v := range s.videos {
-		st.Videos = append(st.Videos, v)
-	}
-	sort.Slice(st.Videos, func(i, j int) bool { return st.Videos[i].ID < st.Videos[j].ID })
-	for _, c := range s.campaigns {
-		st.Campaigns = append(st.Campaigns, c)
-	}
-	sort.Slice(st.Campaigns, func(i, j int) bool { return st.Campaigns[i].ID < st.Campaigns[j].ID })
-	st.Generation = s.gen + 1
-	if err := writeSnapshot(s.cfg.Dir, st); err != nil {
-		return err
-	}
-	// The snapshot now owns everything the old log held (including any
-	// applied-but-unflushed frames, which rotate drains into the retiring
-	// log first). Start a log tagged with the new generation; a crash
-	// anywhere between the snapshot rename and the new log's rename
-	// leaves a stale-generation WAL that recovery discards instead of
-	// replaying onto the already-complete snapshot.
-	if err := s.com.rotate(func() (*walWriter, error) {
-		return createWAL(s.cfg.Dir, walFile, st.Generation, nil, s.cfg.WALSync)
-	}); err != nil {
-		return err
-	}
-	s.gen = st.Generation
-	s.walOps.Store(0)
-	s.snaps.Add(1)
-	return nil
+	return s.eng.flushOnce()
 }
 
 // ---- Images ----
@@ -782,7 +503,7 @@ func (s *Store) AddImage(img Image) (uint64, error) {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return img.ID, nil
@@ -939,7 +660,7 @@ func (s *Store) DeleteImage(id uint64) error {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	return s.awaitCommit(wait, 1)
+	return s.awaitCommit(wait)
 }
 
 // applyDeleteImage unlinks an image from every subsystem. Callers hold
@@ -1021,7 +742,7 @@ func (s *Store) PutFeature(imageID uint64, kind string, vec []float64) error {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	return s.awaitCommit(wait, 1)
+	return s.awaitCommit(wait)
 }
 
 // applyFeature stores one vector and maintains LSH/hybrid indexes.
@@ -1145,7 +866,7 @@ func (s *Store) PutClassification(c Classification) (uint64, error) {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return c.ID, nil
@@ -1244,7 +965,7 @@ func (s *Store) Annotate(a Annotation) error {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	return s.awaitCommit(wait, 1)
+	return s.awaitCommit(wait)
 }
 
 // applyAnnotation appends one annotation row and, the first time the
@@ -1320,7 +1041,7 @@ func (s *Store) AddKeywords(imageID uint64, words []string) error {
 	}
 	wait := s.enqueue(frame)
 	unlock()
-	return s.awaitCommit(wait, 1)
+	return s.awaitCommit(wait)
 }
 
 // applyKeywords stores keywords and their inverted-index postings.
@@ -1380,7 +1101,7 @@ func (s *Store) PutUser(u User) (uint64, error) {
 	}
 	wait := s.enqueue(frame)
 	s.catalogMu.Unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return 0, err
 	}
 	return u.ID, nil
@@ -1448,7 +1169,7 @@ func (s *Store) IssueAPIKey(userID uint64, now time.Time) (string, error) {
 	s.applyAPIKey(k)
 	wait := s.enqueue(frame)
 	s.catalogMu.Unlock()
-	if err := s.awaitCommit(wait, 1); err != nil {
+	if err := s.awaitCommit(wait); err != nil {
 		return "", err
 	}
 	return k.Key, nil

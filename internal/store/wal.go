@@ -15,15 +15,8 @@ import (
 	"sync"
 )
 
-// Durability layout (snapshot engine): <dir>/snapshot.gob holds a full
-// state image tagged with a generation number; <dir>/wal.gob holds
-// operations applied since the snapshot of the same generation. Open
-// loads the snapshot (if any), replays a generation-matching WAL, and
-// discards a stale one; Snapshot() compacts by installing a fresh
-// snapshot and starting a new log. The segment engine (engine.go) reuses
-// the same frame format over per-generation log files (wal-%06d.log).
-//
-// WAL v2 record format. The file starts with a 16-byte header:
+// WAL v2 record format, used by the segment engine's per-generation logs
+// (wal-%06d.log, see engine.go). The file starts with a 16-byte header:
 //
 //	magic (8 bytes) | generation (8 bytes, little-endian)
 //
@@ -31,24 +24,19 @@ import (
 //
 //	payload length (4 bytes LE) | CRC32C of payload (4 bytes LE) | payload
 //
-// Each payload is one walOp encoded by a *fresh* gob encoder, so every
-// frame is a complete gob stream on its own. That independence is what
-// makes append-after-reopen safe: the v1 format shared one encoder per
-// file session, so each reopen restarted gob's type-descriptor numbering
-// mid-stream and the next replay died with "duplicate type received".
+// Each payload is one walOp encoded as a self-contained gob stream, so
+// every frame decodes on its own. That independence is what makes
+// append-after-reopen safe: a log sharing one encoder per file session
+// would restart gob's type-descriptor numbering at each reopen and the
+// next replay would die with "duplicate type received".
 //
 // Recovery walks frames until the first one that is incomplete or fails
 // its checksum at end-of-file — a torn write — and repairs the log by
 // truncating it there. A checksum failure or impossible length with
 // further data behind it is mid-log corruption and surfaces as
-// ErrWALCorrupt instead of being silently dropped. Legacy v1 logs (a bare
-// gob stream, recognisable because a gob stream can never begin with the
-// magic's first byte) are replayed once and rewritten in place as v2.
+// ErrWALCorrupt instead of being silently dropped.
 
 const (
-	snapshotFile = "snapshot.gob"
-	walFile      = "wal.gob"
-
 	walHeaderSize      = 16
 	walFrameHeaderSize = 8
 	// maxWALRecord bounds a frame's claimed payload size; anything larger
@@ -56,9 +44,7 @@ const (
 	maxWALRecord = 1 << 28
 )
 
-// walMagic identifies a v2 log. The first byte (0xB6) can never open a
-// legacy v1 file: gob streams start with a uvarint byte count whose first
-// byte is either <= 0x7F or >= 0xF8, so 0xB6 is unreachable.
+// walMagic identifies a v2 log.
 var walMagic = [8]byte{0xB6, 'T', 'V', 'W', 'A', 'L', 'v', '2'}
 
 var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
@@ -111,16 +97,13 @@ type walBackend interface {
 // inject faults at chosen byte offsets.
 var newWALBackend = func(f *os.File) walBackend { return f }
 
-// walWriter appends CRC-framed ops to the log file.
+// walWriter is the open log file the committer appends CRC-framed ops
+// to.
 type walWriter struct {
 	b walBackend
-	// sync is the durability mode; SyncImmediate forces an fsync per
-	// append (slower, stronger durability).
-	sync WALSyncMode
 }
 
-// walName returns the per-generation log filename the segment engine
-// uses; the snapshot engine keeps the single fixed walFile name.
+// walName returns the per-generation log filename.
 func walName(gen uint64) string { return fmt.Sprintf("wal-%06d.log", gen) }
 
 // parseWALName extracts the generation from a per-generation log name
@@ -222,27 +205,6 @@ func encodeFrame(op walOp) ([]byte, error) {
 	return frame, nil
 }
 
-// append writes one op as a single frame (one Write call, so a crash
-// mid-append leaves at most one torn frame at the tail).
-func (w *walWriter) append(op walOp) error {
-	if w.b == nil {
-		return fmt.Errorf("store: appending WAL op %s: log closed", op.Kind)
-	}
-	frame, err := encodeFrame(op)
-	if err != nil {
-		return fmt.Errorf("store: encoding WAL op %s: %w", op.Kind, err)
-	}
-	if _, err := w.b.Write(frame); err != nil {
-		return fmt.Errorf("store: appending WAL op %s: %w", op.Kind, err)
-	}
-	if w.sync == SyncImmediate {
-		if err := w.b.Sync(); err != nil {
-			return fmt.Errorf("store: syncing WAL: %w", err)
-		}
-	}
-	return nil
-}
-
 func (w *walWriter) close() error {
 	if w == nil || w.b == nil {
 		return nil
@@ -255,12 +217,11 @@ func (w *walWriter) close() error {
 	return err
 }
 
-// createWAL atomically installs a fresh generation-gen log named name
-// containing ops (nil for an empty log) and returns a writer positioned
-// for append. The temp-file + rename + directory-fsync sequence
+// createWAL atomically installs a fresh, empty generation-gen log named
+// name and returns a writer positioned for append. The temp-file + rename + directory-fsync sequence
 // guarantees a crash leaves either the previous log or the complete new
 // one, never a half-written header.
-func createWAL(dir, name string, gen uint64, ops []walOp, sync WALSyncMode) (*walWriter, error) {
+func createWAL(dir, name string, gen uint64) (*walWriter, error) {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -278,15 +239,6 @@ func createWAL(dir, name string, gen uint64, ops []walOp, sync WALSyncMode) (*wa
 	if _, err := b.Write(walHeader(gen)); err != nil {
 		return fail(err)
 	}
-	for _, op := range ops {
-		frame, err := encodeFrame(op)
-		if err != nil {
-			return fail(err)
-		}
-		if _, err := b.Write(frame); err != nil {
-			return fail(err)
-		}
-	}
 	if err := b.Sync(); err != nil {
 		return fail(err)
 	}
@@ -296,96 +248,16 @@ func createWAL(dir, name string, gen uint64, ops []walOp, sync WALSyncMode) (*wa
 	if err := fsyncDir(dir); err != nil {
 		return fail(err)
 	}
-	return &walWriter{b: b, sync: sync}, nil
+	return &walWriter{b: b}, nil
 }
 
 // openWALAppend opens an existing, already-validated log for appending.
-func openWALAppend(dir, name string, sync WALSyncMode) (*walWriter, error) {
+func openWALAppend(dir, name string) (*walWriter, error) {
 	f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("store: opening WAL: %w", err)
 	}
-	return &walWriter{b: newWALBackend(f), sync: sync}, nil
-}
-
-// recoverWAL replays the log through apply, repairing crash damage as it
-// goes, and returns a writer ready for new appends. snapGen is the
-// generation of the snapshot recovery started from (0 when there is
-// none); a log from an older generation is a leftover of a crash between
-// snapshot install and WAL reset, and is discarded instead of replayed —
-// its ops are already inside the snapshot, and replaying them would
-// double-apply. Legacy v1 logs are replayed and migrated to v2 in place.
-func recoverWAL(dir string, snapGen uint64, sync WALSyncMode, apply func(walOp) error) (*walWriter, error) {
-	path := filepath.Join(dir, walFile)
-	// A crash can strand the temp file of an in-progress reset or
-	// migration; it never became durable state, so drop it.
-	os.Remove(path + ".tmp")
-
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return createWAL(dir, walFile, snapGen, nil, sync)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: reading WAL: %w", err)
-	}
-
-	if len(data) > 0 && data[0] != walMagic[0] {
-		// Legacy v1: one continuous gob stream.
-		ops, err := decodeLegacyWAL(data)
-		if err != nil {
-			return nil, err
-		}
-		for _, op := range ops {
-			if err := apply(op); err != nil {
-				return nil, fmt.Errorf("store: applying WAL op %s: %w", op.Kind, err)
-			}
-		}
-		return createWAL(dir, walFile, snapGen, ops, sync)
-	}
-
-	if len(data) < walHeaderSize {
-		// Empty file, or a v2 header torn mid-write: nothing was durable
-		// yet, so restart with a clean log.
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("store: resetting torn WAL header: %w", err)
-		}
-		if err := fsyncDir(dir); err != nil {
-			return nil, err
-		}
-		return createWAL(dir, walFile, snapGen, nil, sync)
-	}
-	if !bytes.Equal(data[:8], walMagic[:]) {
-		return nil, fmt.Errorf("%w: bad magic in WAL header", ErrWALCorrupt)
-	}
-	gen := binary.LittleEndian.Uint64(data[8:walHeaderSize])
-	if gen < snapGen {
-		// Stale log from before the current snapshot (crash landed between
-		// snapshot rename and WAL reset). Everything in it is already in
-		// the snapshot.
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("store: discarding stale WAL: %w", err)
-		}
-		if err := fsyncDir(dir); err != nil {
-			return nil, err
-		}
-		return createWAL(dir, walFile, snapGen, nil, sync)
-	}
-	if gen > snapGen {
-		return nil, fmt.Errorf("%w: WAL generation %d ahead of snapshot generation %d (snapshot missing?)", ErrWALCorrupt, gen, snapGen)
-	}
-
-	n, torn, err := walkWALFrames(data[walHeaderSize:], apply)
-	if err != nil {
-		return nil, err
-	}
-	if torn {
-		// Repair on open: cut the torn tail so the log ends on a frame
-		// boundary and stays appendable.
-		if err := repairTornTail(path, int64(walHeaderSize+n)); err != nil {
-			return nil, err
-		}
-	}
-	return openWALAppend(dir, walFile, sync)
+	return &walWriter{b: newWALBackend(f)}, nil
 }
 
 // walkWALFrames walks the frame region of a v2 log (everything after the
@@ -451,24 +323,6 @@ func repairTornTail(path string, keep int64) error {
 	return nil
 }
 
-// decodeLegacyWAL reads a v1 single-stream log, tolerating a torn tail
-// the same way the v1 replayer did.
-func decodeLegacyWAL(data []byte) ([]walOp, error) {
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	var ops []walOp
-	for {
-		var op walOp
-		err := dec.Decode(&op)
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return ops, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: legacy WAL: %v", ErrWALCorrupt, err)
-		}
-		ops = append(ops, op)
-	}
-}
-
 // fsyncDir makes a just-renamed or just-removed directory entry durable.
 func fsyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -483,67 +337,4 @@ func fsyncDir(dir string) error {
 		return fmt.Errorf("store: syncing directory: %w", err)
 	}
 	return nil
-}
-
-// snapshotState is the gob-serialised full state. Generation pairs the
-// snapshot with the WAL that follows it; a legacy snapshot decodes with
-// Generation 0, matching legacy WALs.
-type snapshotState struct {
-	Generation      uint64
-	NextID          uint64
-	Images          []*Image
-	Features        []*Feature
-	Classifications []*Classification
-	Annotations     []*Annotation
-	Keywords        []keywordOp
-	Users           []*User
-	APIKeys         []*APIKey
-	Videos          []*Video
-	Campaigns       []*CampaignRec
-}
-
-func writeSnapshot(dir string, st *snapshotState) error {
-	tmp := filepath.Join(dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("store: creating snapshot: %w", err)
-	}
-	if err := gob.NewEncoder(f).Encode(st); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("store: encoding snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		err = errors.Join(err, f.Close())
-		os.Remove(tmp)
-		return fmt.Errorf("store: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, snapshotFile)); err != nil {
-		return fmt.Errorf("store: installing snapshot: %w", err)
-	}
-	return fsyncDir(dir)
-}
-
-func readSnapshot(dir string) (*snapshotState, error) {
-	// An interrupted writeSnapshot can leave a temp file behind; it was
-	// never installed, so it is dead weight.
-	os.Remove(filepath.Join(dir, snapshotFile+".tmp"))
-	f, err := os.Open(filepath.Join(dir, snapshotFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: opening snapshot: %w", err)
-	}
-	//tvdp:nolint errdiscard read-only fd: a close error after a successful decode cannot lose data
-	defer f.Close()
-	var st snapshotState
-	if err := gob.NewDecoder(f).Decode(&st); err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", err)
-	}
-	return &st, nil
 }

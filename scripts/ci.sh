@@ -44,6 +44,23 @@ done
 echo "== go build =="
 go build ./...
 
+# race_gate RUN [FLAGS...] PKG...: run the named tests under the race
+# detector. Every name in RUN's |-alternation must prefix a test that
+# `go test -list` reports for the packages, so a renamed or deleted test
+# fails the gate instead of silently dropping out of it.
+race_gate() {
+    gate_run=$1
+    shift
+    gate_listed=$(go test -list '.*' "$@")
+    for gate_name in $(printf '%s\n' "$gate_run" | tr '|' ' '); do
+        if ! printf '%s\n' "$gate_listed" | grep -q "^$gate_name"; then
+            echo "race gate: -run names $gate_name, but no test in $* matches it" >&2
+            exit 1
+        fi
+    done
+    go test -race -run "$gate_run" "$@"
+}
+
 echo "== end-to-end benchmark module =="
 # bench/ is its own module (bench/go.mod), so the root build and tests
 # never compile it. Its tests include a smoke run of all four workloads
@@ -56,8 +73,8 @@ echo "== concurrent serving gate (race) =="
 # mixed-workload and HTTP stress tests are race-clean: a failure here
 # should read as "serving concurrency broke", not as a generic suite
 # failure.
-go test -race -run 'TestConcurrentMixedWorkload|TestGroupCommitBatching|TestImageIDsSortedAcrossDeletesAndReplay|TestGetImageMutationIsolation|TestCloseUnblocksAndFailsMutations' ./internal/store
-go test -race -run 'TestConcurrentServingStress' ./internal/api
+race_gate 'TestConcurrentMixedWorkload|TestGroupCommitBatching|TestImageIDsSortedAcrossDeletesAndReplay|TestGetImageMutationIsolation|TestCloseUnblocksAndFailsMutations' ./internal/store
+race_gate 'TestConcurrentServingStress' ./internal/api
 
 echo "== read-path cache + admission gate (race) =="
 # The result cache's singleflight and generation-stamped invalidation,
@@ -65,8 +82,8 @@ echo "== read-path cache + admission gate (race) =="
 # hottest path: their tests must stay race-clean, and a failure here
 # should read as "read-path caching broke", not as a generic suite
 # failure.
-go test -race -run 'TestCache|TestCanonicalKey' ./internal/query
-go test -race -run 'TestAdmission|TestSearchDimMismatchIs400' ./internal/api
+race_gate 'TestCache|TestCanonicalKey' ./internal/query
+race_gate 'TestAdmission|TestSearchDimMismatchIs400' ./internal/api
 
 echo "== shard fan-out gate (race) =="
 # The scatter-gather coordinator is shared mutable state on every search:
@@ -74,7 +91,7 @@ echo "== shard fan-out gate (race) =="
 # and the global ID allocator must stay race-clean and shard-count
 # invariant. A failure here should read as "sharding broke", not as a
 # generic suite failure.
-go test -race -run 'TestShardCountInvariance|TestFanOutShardError|TestFanOutCancelNoLeak|TestShardCountMismatch|TestClassificationReplication|TestGenerationComposes' ./internal/shard
+race_gate 'TestShardCountInvariance|TestFanOutShardError|TestFanOutCancelNoLeak|TestShardCountMismatch|TestClassificationReplication|TestGenerationComposes' ./internal/shard
 
 echo "== batched filters, label index, temporal index gate (race) =="
 # FilterIDs reads three subsystems under their read locks and, over
@@ -83,24 +100,27 @@ echo "== batched filters, label index, temporal index gate (race) =="
 # sorts lazily under the store's read lock, so concurrent first range
 # queries must neither race nor lose hits. Repeated runs give the race
 # detector more interleavings of the concurrent first queries.
-go test -race -count=5 -run 'TestFilterIDs|TestDuplicateAnnotation|TestFirstTimeRangeQueriesConcurrent' ./internal/store ./internal/shard
-go test -race -run 'TestFilterEquivalence|TestFilterDeletedCandidate' ./internal/query
+race_gate 'TestFilterIDs|TestDuplicateAnnotation|TestFirstTimeRangeQueriesConcurrent' -count=5 ./internal/store ./internal/shard
+race_gate 'TestFilterEquivalence|TestFilterDeletedCandidate' ./internal/query
 
 echo "== segment engine gate (race) =="
 # The segmented storage engine's moving parts — freeze-swap flush,
-# background compaction, WAL-tail recovery, legacy-snapshot migration,
-# and the two-engine query-surface equivalence — must stay race-clean.
-# The exhaustive kill-at-every-byte sweeps run in the full race suite
-# below; this gate is the fast, named subset so a failure here reads as
-# "segment engine broke", not as a generic suite failure.
-go test -race -run 'TestSegmentFlushRecoverRoundtrip|TestSegmentCompaction|TestSegmentTombstones|TestSegmentWALTailRecovery|TestSegmentBackgroundFlush|TestLegacySnapshotMigration|TestSnapshotEngineRefusesSegmentDir|TestEngineEquivalence|TestGenerationMovesOnEveryWrite|TestWALSyncModesRoundTrip' ./internal/store
+# background compaction, WAL-tail recovery, the refusal of a retired
+# snapshot-engine layout, and query-surface equivalence with a
+# memory-only store — must stay race-clean. The exhaustive
+# kill-at-every-byte sweeps run in the crash-recovery gate below; this
+# gate is the fast, named subset so a failure here reads as "segment
+# engine broke", not as a generic suite failure.
+race_gate 'TestSegmentFlushRecoverRoundtrip|TestSegmentCompaction|TestSegmentTombstones|TestSegmentWALTailRecovery|TestSegmentBackgroundFlush|TestLegacyLayoutRefused|TestEngineEquivalence|TestGenerationMovesOnEveryWrite|TestWALSyncModesRoundTrip' ./internal/store
 
 echo "== crash-recovery property tests (race) =="
-# Torn-write recovery is its own gate: the kill-at-every-offset sweep, the
-# snapshot-crash interleaving, and the reopen-cycle regression must pass
-# under the race detector on every build, and a failure here should read
-# as "durability broke", not as a generic suite failure.
-go test -race -run 'TestKillAtEveryOffset|TestSnapshotPlusWALOffsetSweep|TestSnapshotCrashDiscardsStaleWAL|TestReopenMutateCycles|TestFaultInjectedTornWrites|TestBitFlipSurfacesCorruption|TestLegacyWALMigration' ./internal/store
+# Torn-write recovery is its own gate: the kill-at-every-offset sweeps
+# over the live segment-engine log (alone and above a flushed segment),
+# the stale-log-after-flush interleaving, bit flips, torn tails and the
+# reopen-cycle regression must pass under the race detector on every
+# build, and a failure here should read as "durability broke", not as a
+# generic suite failure.
+race_gate 'TestKillAtEveryOffset|TestSnapshotPlusWALOffsetSweep|TestSnapshotCrashDiscardsStaleWAL|TestReopenMutateCycles|TestFaultInjectedTornWrites|TestBitFlipSurfacesCorruption|TestTornWALTailIsTolerated' ./internal/store
 
 echo "== ingest pipeline gate (race) =="
 # The streaming ingestion tier is staged concurrency end to end:
@@ -109,9 +129,9 @@ echo "== ingest pipeline gate (race) =="
 # re-drives the crash window between persist-ack and index insert. All
 # of it must stay race-clean, and a failure here should read as
 # "ingestion pipeline broke", not as a generic suite failure.
-go test -race -run 'TestAckPrecedesExtraction|TestBackpressureShedsBeforePersist|TestPerSourceOrderingPreserved|TestFailedExtractionTrackedAndSweepRedrives|TestRefreshHookFiresOffPath|TestCloseIsIdempotentAndDrainsQueue|TestPipelineOverShardCoordinator' ./internal/ingest
-go test -race -run 'TestStreamEndpointAcksPerRecord|TestUploadBusySheds429WithRetryAfter|TestUploadSyncErrorCarriesAssignedID|TestVideoSyncPartialFrameFailure' ./internal/api
-go test -race -run 'TestCrashBetweenAckAndIndexSweepRedrives|TestReopenAfterCleanCloseSweepsNothing' ./internal/core
+race_gate 'TestAckPrecedesExtraction|TestBackpressureShedsBeforePersist|TestPerSourceOrderingPreserved|TestFailedExtractionTrackedAndSweepRedrives|TestRefreshHookFiresOffPath|TestCloseIsIdempotentAndDrainsQueue|TestPipelineOverShardCoordinator' ./internal/ingest
+race_gate 'TestStreamEndpointAcksPerRecord|TestUploadBusySheds429WithRetryAfter|TestUploadSyncErrorCarriesAssignedID|TestVideoSyncPartialFrameFailure' ./internal/api
+race_gate 'TestCrashBetweenAckAndIndexSweepRedrives|TestReopenAfterCleanCloseSweepsNothing' ./internal/core
 
 echo "== graceful shutdown gate (race) =="
 # The request-lifecycle contract under the race detector: Serve must stop
@@ -119,15 +139,15 @@ echo "== graceful shutdown gate (race) =="
 # reopenable with every acknowledged write intact. Shutdown races the
 # drain against live handlers and the committer quiesce, so this gate is
 # race-enabled and should read as "graceful shutdown broke" on failure.
-go test -race -run 'TestServeStopsOnCancel|TestServeGracefulShutdownDrainsInFlight' ./internal/core
-go test -race -run 'TestForCtxCancelNeverDeadlocks|TestForCtxGrainsNeverTear' ./internal/par
+race_gate 'TestServeStopsOnCancel|TestServeGracefulShutdownDrainsInFlight' ./internal/core
+race_gate 'TestForCtxCancelNeverDeadlocks|TestForCtxGrainsNeverTear' ./internal/par
 
 echo "== SIGTERM drain smoke =="
 # The real-process twin of the gate above: SIGTERM a loaded tvdp-server
 # -dir, require exit 0 with the shutdown epilogue logged, then reopen the
-# same directory and require the full corpus back (the post-drain snapshot
+# same directory and require the full corpus back (the post-drain flush
 # makes the reopen replay-free). In-flight drain is covered by the race
-# test; this smoke pins the process wiring (signal → drain → snapshot →
+# test; this smoke pins the process wiring (signal → drain → flush →
 # close → exit code).
 drain_dir=$(mktemp -d)
 drain_port=$((20000 + $$ % 10000))
@@ -159,7 +179,8 @@ grep -q "shutdown complete" "$drain_dir/run1.log" || {
     cat "$drain_dir/run1.log" >&2
     exit 1
 }
-# Reopen: the seeded corpus must be back in full, from the snapshot alone.
+# Reopen: the seeded corpus must be back in full, from the flushed
+# segments alone.
 "$drain_dir/tvdp-server" -addr "127.0.0.1:$drain_port" -dir "$drain_dir/data" >"$drain_dir/run2.log" 2>&1 &
 srv_pid=$!
 ready=0
@@ -212,33 +233,6 @@ go run ./cmd/tvdp-bench -figure readpath -scale smoke -timing-n 1500 -timing-que
 for key in '"figure": "readpath"' '"quantized"' '"cached"' '"recall_at_k"' '"fig6_ordering_preserved"' '"ops_per_sec"' '"allocs_per_op"' '"quant_speedup_x"'; do
     if ! grep -q "$key" "$bench_out/BENCH_readpath.json"; then
         echo "BENCH_readpath.json missing $key" >&2
-        exit 1
-    fi
-done
-
-echo "== sharding bench smoke =="
-# A reduced tvdp-bench -figure sharding run must produce a well-formed
-# BENCH_sharding.json. Scaling numbers from a 200ms window are noise, so
-# only the report shape is checked — except topk_invariant, which is a
-# correctness bit (bit-identical merged results at every shard count)
-# and must be true at any scale.
-go run ./cmd/tvdp-bench -figure sharding -duration 200ms -clients 4 -preload 64 -out "$bench_out/BENCH_sharding.json"
-for key in '"figure": "sharding"' '"shards": 1' '"shards": 8' '"ops_per_sec"' '"speedup_x"' '"p99_ms"' '"snapshot_every"' '"topk_invariant": true'; do
-    if ! grep -q "$key" "$bench_out/BENCH_sharding.json"; then
-        echo "BENCH_sharding.json missing $key" >&2
-        exit 1
-    fi
-done
-
-echo "== persistence bench smoke =="
-# A reduced tvdp-bench -figure persistence run must produce a well-formed
-# BENCH_persistence.json. Stall numbers from a 300ms window on a small
-# corpus are noise, so only the report shape is checked — the committed
-# artifact is regenerated at full scale when the engines change.
-go run ./cmd/tvdp-bench -figure persistence -duration 300ms -clients 4 -preload 64 -out "$bench_out/BENCH_persistence.json"
-for key in '"figure": "persistence"' '"snapshot"' '"segment"' '"max_stall_ms"' '"flushes"' '"p99_improvement_x"' '"stall_improvement_x"'; do
-    if ! grep -q "$key" "$bench_out/BENCH_persistence.json"; then
-        echo "BENCH_persistence.json missing $key" >&2
         exit 1
     fi
 done
