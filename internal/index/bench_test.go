@@ -10,7 +10,7 @@ import (
 
 // Read-path microbenchmarks at serving scale: the exact float64 scan vs
 // the int8 quantized scan vs the raw kernels, over the same corpus shape
-// as the readpath figure (20K vectors, 64 dims).
+// as bench/'s search workloads (20K vectors; 64 dims here, 50 there).
 
 const (
 	benchN   = 20000

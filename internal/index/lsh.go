@@ -30,7 +30,7 @@ const quantHeadroom = 0.25
 // candidates by asymmetric distance, and only those are re-scored at
 // full precision. The shortlist margin absorbs quantization error in the
 // ordering near the cut, so the final top-k matches the full-precision
-// top-k in practice (the readpath recall gate pins ≥ 0.9 recall@10).
+// top-k in practice (TestQuantScanKeepsFig6Quality pins ≥ 0.9 recall@10).
 const (
 	rerankAlpha = 4
 	rerankFloor = 32
@@ -370,7 +370,7 @@ func (l *LSH) TopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 // QuantTopK returns up to k approximate nearest neighbours of q by a
 // full quantized scan over every indexed code (no LSH bucketing), with
 // the usual full-precision shortlist re-rank. It is the cheap linear
-// baseline of the readpath figure: same scan shape as ExactTopK but
+// baseline of the quantized read path: same scan shape as ExactTopK but
 // reading 1 byte per dimension instead of 8. Like TopK, it stops summing
 // a row once the sum passes the shortlist's current worst distance
 // (vecmath.SquaredL2Int8Bound), which leaves the shortlist unchanged.
@@ -453,8 +453,8 @@ func (l *LSH) WithinRadius(ctx context.Context, q []float64, r float64) ([]Match
 }
 
 // ExactTopK linearly scans every indexed vector at full precision — the
-// ground-truth baseline the LSH ablation (bench A2) and the readpath
-// figure compare against. The scan honours ctx every scanCheckpoint
+// ground-truth baseline the LSH ablation (bench A2) and the quantized
+// recall test compare against. The scan honours ctx every scanCheckpoint
 // vectors.
 func (l *LSH) ExactTopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 	if len(q) != l.dim {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/feature"
 	"repro/internal/geo"
 	"repro/internal/imagesim"
+	"repro/internal/index"
 	"repro/internal/store"
 )
 
@@ -129,6 +131,14 @@ func drain(t *testing.T, p *Pipeline) {
 	}
 }
 
+func matchIDs(ms []index.Match) []uint64 {
+	ids := make([]uint64, len(ms))
+	for i, m := range ms {
+		ids[i] = m.ID
+	}
+	return ids
+}
+
 func TestAsyncSubmitExtractsAndIndexes(t *testing.T) {
 	st, _, _, p := testEnv(t, Config{Partitions: 2, QueueDepth: 8})
 	ctx := context.Background()
@@ -161,6 +171,37 @@ func TestAsyncSubmitExtractsAndIndexes(t *testing.T) {
 	}
 	if len(matches) == 0 {
 		t.Fatal("no visual matches after online indexing")
+	}
+	// Recall parity: the index the workers maintained online answers
+	// every stored row's top-k probe exactly as an index built in one
+	// pass over the same vectors does, and each row finds itself first.
+	// LSH is approximate: on these unit-spaced vectors row 6's top-3
+	// misses row 4 against SearchVisualExact, in both indexes.
+	ref, err := index.NewLSH(4, store.DefaultConfig().LSH)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vecs := make(map[uint64][]float64, len(ids))
+	for _, id := range ids {
+		if vecs[id], err = st.GetFeature(id, "test_kind"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Insert(id, vecs[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		online, err := st.SearchVisual(ctx, "test_kind", vecs[id], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := ref.TopK(ctx, vecs[id], 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(online) == 0 || online[0].ID != id || !slices.Equal(matchIDs(online), matchIDs(batch)) {
+			t.Fatalf("image %d: online top-3 %v, one-pass index %v", id, matchIDs(online), matchIDs(batch))
+		}
 	}
 	s := p.Stats()
 	if s.Persisted != 6 || s.Extracted != 6 || s.Shed != 0 {

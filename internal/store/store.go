@@ -1266,7 +1266,7 @@ func (s *Store) Generation() uint64 { return s.mutGen.Load() }
 // full linear scan over int8 quantized codes (asymmetric distance: one
 // per-query lookup table, no dequantization) followed by an exact
 // full-precision re-rank of the shortlist. It is the cheap linear
-// baseline of the read-path figure: same contract as SearchVisualExact
+// baseline of the quantized read path: same contract as SearchVisualExact
 // but roughly dim·8/64 of the memory traffic per candidate.
 func (s *Store) SearchVisualQuant(ctx context.Context, kind string, vec []float64, k int) ([]index.Match, error) {
 	if err := ctx.Err(); err != nil {
