@@ -452,36 +452,6 @@ func BenchmarkA5EdgeSelection_Random(b *testing.B) {
 	benchEdgeSelection(b, edge.SelectRandom)
 }
 
-// ---- A6: store ingest throughput ----
-
-func BenchmarkA6StoreIngest(b *testing.B) {
-	cfg := store.DefaultConfig()
-	cfg.Dir = b.TempDir()
-	st, err := store.Open(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	g, err := synth.NewGenerator(synth.DefaultConfig(1, 6))
-	if err != nil {
-		b.Fatal(err)
-	}
-	recs := make([]synth.Record, 256)
-	for i := range recs {
-		recs[i] = g.Render(synth.Class(i % synth.NumClasses))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rec := recs[i%len(recs)]
-		if _, err := st.AddImage(store.Image{
-			FOV: rec.FOV, Pixels: rec.Image,
-			TimestampCapturing: rec.CapturedAt.Add(time.Duration(i) * time.Second),
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---- A7: text search ----
 
 func textFixture(b *testing.B) (*index.Inverted, [][]string, []string) {

@@ -7,7 +7,7 @@
 //
 //	tvdp-bench -fig all                 # Fig. 6, 7, 8 at harness scale
 //	tvdp-bench -fig 6 -n 2000 -folds 10 # bigger corpus, paper's 10-fold CV
-//	tvdp-bench -ablations               # A1..A8
+//	tvdp-bench -ablations               # A1–A5, A7, A8
 //	tvdp-bench -fig all -scale paper    # paper-scale corpus (slow)
 package main
 
@@ -25,7 +25,7 @@ import (
 func main() {
 	var (
 		fig       = flag.String("fig", "", "figure to regenerate: 6, 7, 8, or all")
-		ablations = flag.Bool("ablations", false, "run the A1..A8 ablation studies")
+		ablations = flag.Bool("ablations", false, "run the ablation studies (A1–A5, A7, A8)")
 		n         = flag.Int("n", 0, "override corpus size")
 		folds     = flag.Int("folds", 0, "cross-validation folds for Fig. 6 (0 = skip)")
 		scaleName = flag.String("scale", "default", "corpus scale: smoke, default, or paper")
@@ -37,6 +37,12 @@ func main() {
 	case "", "6", "7", "8", "all":
 	default:
 		fmt.Fprintf(os.Stderr, "tvdp-bench: unknown -fig %q (want 6, 7, 8 or all)\n", *fig)
+		os.Exit(2)
+	}
+	switch *scaleName {
+	case "smoke", "default", "paper":
+	default:
+		fmt.Fprintf(os.Stderr, "tvdp-bench: unknown -scale %q (want smoke|default|paper)\n", *scaleName)
 		os.Exit(2)
 	}
 	if *fig == "" && !*ablations {
@@ -58,8 +64,6 @@ func main() {
 	case "paper":
 		scale = experiments.PaperScale()
 		log.Printf("paper scale selected: N=%d, BoW vocab=%d — expect hours on one core", scale.N, scale.BoWVocab)
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
 	}
 	if *n > 0 {
 		scale.N = *n
@@ -138,16 +142,6 @@ func runAblations(seed int64) {
 	}
 	if r, err := experiments.RunA5EdgeSelection(seed); err != nil {
 		log.Fatalf("A5: %v", err)
-	} else {
-		fmt.Println(r.Render())
-	}
-	dir, err := os.MkdirTemp("", "tvdp-a6-*")
-	if err != nil {
-		log.Fatalf("A6: %v", err)
-	}
-	defer os.RemoveAll(dir)
-	if r, err := experiments.RunA6Store(dir, 1000, seed); err != nil {
-		log.Fatalf("A6: %v", err)
 	} else {
 		fmt.Println(r.Render())
 	}

@@ -1,6 +1,6 @@
 // Command tvdp-lint runs TVDP's invariant analyzers (internal/lint) over
 // the module: lockorder, determinism, walpath, errdiscard, ctxflow,
-// sqrtscan, guardedby, golifecycle, fsyncorder.
+// sqrtscan, guardedby, golifecycle, fsyncorder, reach.
 //
 // Usage:
 //
@@ -137,11 +137,11 @@ func run(args []string, analyzers []lint.Analyzer) ([]lint.Finding, error) {
 		findings = append(findings, fs...)
 	}
 	for _, dir := range fixtures {
-		pkg, err := lint.LoadFixture(dir)
+		pkgs, err := lint.LoadFixture(dir)
 		if err != nil {
 			return nil, err
 		}
-		findings = append(findings, lint.Run([]*lint.Package{pkg}, fixtureAnalyzers())...)
+		findings = append(findings, lint.Run(pkgs, fixtureAnalyzers())...)
 	}
 	return findings, nil
 }
@@ -161,7 +161,12 @@ func fixtureAnalyzers() []lint.Analyzer {
 	gl.Scope = []string{"fixture"}
 	fo := lint.NewFsyncOrder()
 	fo.Scope = []string{"fixture"}
-	return []lint.Analyzer{lint.NewLockOrder(), det, lint.NewWALPath(), ed, cf, sq, lint.NewGuardedBy(), gl, fo}
+	// Every fixture declares functions nothing calls, so reach judges
+	// only its own fixture; anywhere else it would flag them all and mask
+	// a blind analyzer.
+	re := lint.NewReach()
+	re.Scope = []string{"fixture/reach"}
+	return []lint.Analyzer{lint.NewLockOrder(), det, lint.NewWALPath(), ed, cf, sq, lint.NewGuardedBy(), gl, fo, re}
 }
 
 // moduleRoot walks up from the working directory to the enclosing go.mod.

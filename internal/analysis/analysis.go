@@ -452,59 +452,3 @@ func (s *Service) AnnotateImages(ctx context.Context, modelName string, imageIDs
 	}
 	return annotated, skipped, nil
 }
-
-// AnnotateImagesWithRegions behaves like AnnotateImages but additionally
-// attaches the largest salient region of each image to the written
-// annotation — the part-of-image bounding boundary of §IV-A. Images where
-// no region is proposed get a whole-image annotation.
-func (s *Service) AnnotateImagesWithRegions(ctx context.Context, modelName string, imageIDs []uint64, at time.Time, rc feature.RegionConfig) (annotated, withRegion int, err error) {
-	spec, err := s.Registry.Spec(modelName)
-	if err != nil {
-		return 0, 0, err
-	}
-	cls, err := s.Store.ClassificationByName(spec.Classification)
-	if err != nil {
-		return 0, 0, err
-	}
-	for i, id := range imageIDs {
-		if i%recordCheckpoint == 0 {
-			if err := ctx.Err(); err != nil {
-				return annotated, withRegion, err
-			}
-		}
-		vec, err := s.Store.GetFeature(id, spec.FeatureKind)
-		if err != nil {
-			continue
-		}
-		p, err := s.Registry.Predict(modelName, vec)
-		if err != nil {
-			return annotated, withRegion, err
-		}
-		ann := store.Annotation{
-			ImageID:          id,
-			ClassificationID: cls.ID,
-			Label:            p.Label,
-			Confidence:       p.Confidence,
-			Source:           store.SourceMachine,
-			AnnotatedAt:      at,
-		}
-		img, err := s.Store.GetImage(id)
-		if err != nil {
-			return annotated, withRegion, err
-		}
-		regs, err := feature.DetectRegions(img.Pixels, rc)
-		if err != nil {
-			return annotated, withRegion, err
-		}
-		if len(regs) > 0 {
-			r := regs[0]
-			ann.Region = &store.PixelRect{X0: r.X0, Y0: r.Y0, X1: r.X1, Y1: r.Y1}
-			withRegion++
-		}
-		if err := s.Store.Annotate(ann); err != nil {
-			return annotated, withRegion, err
-		}
-		annotated++
-	}
-	return annotated, withRegion, nil
-}

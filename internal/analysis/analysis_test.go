@@ -269,53 +269,6 @@ func TestMinConfidenceFiltersTraining(t *testing.T) {
 	}
 }
 
-func TestAnnotateImagesWithRegions(t *testing.T) {
-	f := setup(t)
-	if _, err := f.svc.TrainModel(context.Background(), TrainConfig{
-		Name:           "regions-model",
-		Classification: "street_cleanliness",
-		FeatureKind:    string(feature.KindColorHist),
-		Seed:           4,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	at := time.Date(2019, 3, 2, 0, 0, 0, 0, time.UTC)
-	annotated, withRegion, err := f.svc.AnnotateImagesWithRegions(context.Background(),
-		"regions-model", f.raw, at, feature.DefaultRegionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if annotated != len(f.raw) {
-		t.Fatalf("annotated = %d", annotated)
-	}
-	// Synthetic scenes contain drawn objects: most images should yield a
-	// region proposal.
-	if withRegion < annotated/2 {
-		t.Fatalf("withRegion = %d of %d", withRegion, annotated)
-	}
-	// The written annotations carry sane pixel boxes.
-	found := false
-	for _, id := range f.raw {
-		for _, a := range f.st.AnnotationsFor(id) {
-			if a.Region == nil {
-				continue
-			}
-			found = true
-			img, _ := f.st.GetImage(id)
-			r := a.Region
-			if r.X0 < 0 || r.Y0 < 0 || r.X1 > img.Pixels.W || r.Y1 > img.Pixels.H || r.X0 >= r.X1 || r.Y0 >= r.Y1 {
-				t.Fatalf("bad region box %+v for %dx%d image", r, img.Pixels.W, img.Pixels.H)
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no region annotations written")
-	}
-	if _, _, err := f.svc.AnnotateImagesWithRegions(context.Background(), "nope", f.raw, at, feature.DefaultRegionConfig()); !errors.Is(err, ErrModelNotFound) {
-		t.Fatal("unknown model accepted")
-	}
-}
-
 func TestModelExportImportRoundTrip(t *testing.T) {
 	f := setup(t)
 	if _, err := f.svc.TrainModel(context.Background(), TrainConfig{

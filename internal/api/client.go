@@ -26,6 +26,8 @@ const DefaultClientTimeout = 30 * time.Second
 // carries a context: the convenience methods originate one internally
 // (bounded by the HTTP client's timeout), and DoCtx-based variants let
 // callers supply their own for cancellation or tighter deadlines.
+//
+//tvdp:surface the typed client library for programs outside this module
 type Client struct {
 	BaseURL string
 	APIKey  string
@@ -34,6 +36,8 @@ type Client struct {
 
 // NewClient returns a client for the given base URL (no trailing slash)
 // and API key, with DefaultClientTimeout on every call.
+//
+//tvdp:surface the client library's constructor for programs outside this module
 func NewClient(baseURL, apiKey string) *Client {
 	return NewClientTimeout(baseURL, apiKey, DefaultClientTimeout)
 }

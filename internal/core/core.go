@@ -92,6 +92,8 @@ type Config struct {
 }
 
 // Platform is one running TVDP instance.
+//
+//tvdp:surface re-exported as tvdp.Platform, the module's public API
 type Platform struct {
 	Store    store.Backend
 	Analysis *analysis.Service

@@ -112,7 +112,9 @@ func TestDurabilityAcrossReopen(t *testing.T) {
 		t.Fatalf("recovered %d images", p2.Store.NumImages())
 	}
 	// Query indexes were rebuilt.
-	res, err := p2.Query.ByKeywords(context.Background(), "street", "sidewalk", "losangeles", "lasan", "survey")
+	res, _, err := p2.Query.Run(context.Background(), query.Query{Textual: &query.TextualClause{
+		Terms: []string{"street", "sidewalk", "losangeles", "lasan", "survey"},
+	}})
 	if err != nil || len(res) == 0 {
 		t.Fatalf("post-recovery keyword search: %d err=%v", len(res), err)
 	}

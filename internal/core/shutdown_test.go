@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/query"
 	"repro/internal/synth"
 )
 
@@ -154,7 +155,7 @@ func TestServeGracefulShutdownDrainsInFlight(t *testing.T) {
 		t.Errorf("reopened store has %d images, want at least %d", n, len(want))
 	}
 	// The reopened platform still answers queries.
-	if _, err := p2.Query.ByKeywords(context.Background(), recs[0].Keywords...); err != nil {
+	if _, _, err := p2.Query.Run(context.Background(), query.Query{Textual: &query.TextualClause{Terms: recs[0].Keywords}}); err != nil {
 		t.Errorf("post-reopen query: %v", err)
 	}
 }

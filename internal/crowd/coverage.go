@@ -125,25 +125,6 @@ func (c *CoverageMap) Ratio() float64 {
 	return float64(covered) / float64(c.Model.Rows*c.Model.Cols)
 }
 
-// DirectionalRatio returns the fraction of (cell, direction) pairs that
-// meet MinCount — the stricter coverage notion for applications needing
-// all-around views.
-func (c *CoverageMap) DirectionalRatio() float64 {
-	covered, total := 0, 0
-	for _, bins := range c.Counts {
-		for _, n := range bins {
-			total++
-			if n >= c.Model.MinCount {
-				covered++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(covered) / float64(total)
-}
-
 // WeakCells returns the center points of uncovered cells, the targets the
 // next campaign round turns into tasks.
 func (c *CoverageMap) WeakCells() []geo.Point {

@@ -173,13 +173,3 @@ func Dispatch(d DeviceProfile, models []nn.ModelProfile, c Constraints, sim *Inf
 	}
 	return Decision{Model: fits[fast].m, EstimatedLatency: fits[fast].lat, MetConstraints: false}, nil
 }
-
-// TransferTime returns how long moving `bytes` over the device uplink
-// takes.
-func TransferTime(d DeviceProfile, bytes int64) time.Duration {
-	if d.BandwidthMbps <= 0 {
-		return 0
-	}
-	seconds := float64(bytes*8) / (d.BandwidthMbps * 1e6)
-	return time.Duration(seconds * float64(time.Second))
-}

@@ -107,17 +107,6 @@ func TestDispatchMemoryFilter(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	// 100 Mbps, 12.5 MB -> 1 s.
-	got := TransferTime(Desktop, 12_500_000)
-	if math.Abs(got.Seconds()-1) > 0.01 {
-		t.Fatalf("transfer time = %v", got)
-	}
-	if TransferTime(DeviceProfile{}, 1000) != 0 {
-		t.Fatal("zero bandwidth should yield 0")
-	}
-}
-
 // learnTask builds a linearly separable 3-class task over 8 dims.
 func learnTask(n int, seed int64) (xs [][]float64, ys []int) {
 	rng := rand.New(rand.NewSource(seed))

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/crowd"
 	"repro/internal/edge"
@@ -440,59 +439,6 @@ func maxI64(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// A6Result measures storage-engine ingest and recovery.
-type A6Result struct {
-	N            int
-	IngestPerSec float64
-	ReopenMs     float64
-	Recovered    int
-}
-
-// RunA6Store measures WAL-backed ingest throughput and recovery by
-// writing n images to a fresh store, closing it, and reopening.
-func RunA6Store(dir string, n int, seed int64) (*A6Result, error) {
-	cfg := store.DefaultConfig()
-	cfg.Dir = dir
-	st, err := store.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	g, err := synth.NewGenerator(synth.DefaultConfig(n, seed))
-	if err != nil {
-		return nil, err
-	}
-	recs := g.Generate(n)
-	sw := startStopwatch()
-	for _, rec := range recs {
-		if _, err := st.AddImage(store.Image{FOV: rec.FOV, Pixels: rec.Image, TimestampCapturing: rec.CapturedAt}); err != nil {
-			return nil, err
-		}
-	}
-	ingest := sw.elapsed()
-	if err := st.Close(); err != nil {
-		return nil, err
-	}
-	sw = startStopwatch()
-	st2, err := store.Open(cfg)
-	if err != nil {
-		return nil, err
-	}
-	reopen := sw.elapsed()
-	defer st2.Close()
-	return &A6Result{
-		N:            n,
-		IngestPerSec: float64(n) / ingest.Seconds(),
-		ReopenMs:     float64(reopen) / float64(time.Millisecond),
-		Recovered:    st2.NumImages(),
-	}, nil
-}
-
-// Render implements the table output.
-func (r *A6Result) Render() string {
-	return fmt.Sprintf("A6 — Store ingest %d imgs: %.0f img/s; recovery replay %.1f ms; recovered %d/%d\n",
-		r.N, r.IngestPerSec, r.ReopenMs, r.Recovered, r.N)
 }
 
 // A7Result compares the inverted index against a keyword scan.

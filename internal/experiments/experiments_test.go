@@ -222,19 +222,6 @@ func TestA5(t *testing.T) {
 	}
 }
 
-func TestA6(t *testing.T) {
-	r, err := RunA6Store(t.TempDir(), 100, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Recovered != 100 {
-		t.Fatalf("recovered %d/100", r.Recovered)
-	}
-	if r.IngestPerSec <= 0 {
-		t.Fatalf("ingest rate = %v", r.IngestPerSec)
-	}
-}
-
 func TestA7(t *testing.T) {
 	r, err := RunA7Text(5000, 200, 1)
 	if err != nil {

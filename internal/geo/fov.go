@@ -113,12 +113,6 @@ func (f FOV) IntersectsRect(r Rect) bool {
 	return false
 }
 
-// CoverageArea returns the area of the FOV sector in square meters
-// (planar approximation: α/360 · πR², accurate at street scales).
-func (f FOV) CoverageArea() float64 {
-	return f.Angle / 360 * math.Pi * f.Radius * f.Radius
-}
-
 // Overlap returns a [0,1] score for how much f and g view the same region:
 // the Jaccard overlap of their scene MBRs damped by viewing-direction
 // disagreement. It is the redundancy measure used by the crowdsourcing

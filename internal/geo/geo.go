@@ -160,12 +160,6 @@ func (r Rect) Contains(p Point) bool {
 		p.Lon >= r.MinLon && p.Lon <= r.MaxLon
 }
 
-// ContainsRect reports whether r fully contains o.
-func (r Rect) ContainsRect(o Rect) bool {
-	return o.MinLat >= r.MinLat && o.MaxLat <= r.MaxLat &&
-		o.MinLon >= r.MinLon && o.MaxLon <= r.MaxLon
-}
-
 // Intersects reports whether r and o share any point.
 func (r Rect) Intersects(o Rect) bool {
 	return r.MinLat <= o.MaxLat && o.MinLat <= r.MaxLat &&
@@ -215,14 +209,6 @@ func (r Rect) Area() float64 {
 	return (r.MaxLat - r.MinLat) * (r.MaxLon - r.MinLon)
 }
 
-// Margin returns the half-perimeter in degrees (R*-tree split heuristic).
-func (r Rect) Margin() float64 {
-	if !r.Valid() {
-		return 0
-	}
-	return (r.MaxLat - r.MinLat) + (r.MaxLon - r.MinLon)
-}
-
 // Enlargement returns how much r's area grows if extended to include o.
 func (r Rect) Enlargement(o Rect) float64 {
 	return r.Union(o).Area() - r.Area()
@@ -236,30 +222,6 @@ func (r Rect) OverlapArea(o Rect) float64 {
 		return 0
 	}
 	return ix.Area()
-}
-
-// Buffer returns r expanded by approximately meters on every side, using
-// the local meters-per-degree scale at the rectangle's center latitude.
-func (r Rect) Buffer(meters float64) Rect {
-	c := r.Center()
-	dLat := meters / MetersPerDegreeLat
-	dLon := meters / MetersPerDegreeLon(c.Lat)
-	return Rect{
-		MinLat: r.MinLat - dLat,
-		MinLon: r.MinLon - dLon,
-		MaxLat: r.MaxLat + dLat,
-		MaxLon: r.MaxLon + dLon,
-	}
-}
-
-// MetersPerDegreeLat is the (nearly constant) north-south meters per degree
-// of latitude.
-const MetersPerDegreeLat = EarthRadiusMeters * math.Pi / 180
-
-// MetersPerDegreeLon returns the east-west meters per degree of longitude at
-// the given latitude.
-func MetersPerDegreeLon(lat float64) float64 {
-	return MetersPerDegreeLat * math.Cos(deg2rad(lat))
 }
 
 // DistancePointRect returns the great-circle distance in meters from p to

@@ -244,20 +244,6 @@ func (m *Image) GrayPlane() []float64 {
 	return out
 }
 
-// MeanRGB returns the per-channel mean of the image in [0,255].
-func (m *Image) MeanRGB() (r, g, b float64) {
-	if len(m.Pix) == 0 {
-		return 0, 0, 0
-	}
-	for _, p := range m.Pix {
-		r += float64(p.R)
-		g += float64(p.G)
-		b += float64(p.B)
-	}
-	n := float64(len(m.Pix))
-	return r / n, g / n, b / n
-}
-
 // Resize returns a nearest-neighbour resampling of m to w×h.
 func (m *Image) Resize(w, h int) (*Image, error) {
 	out, err := New(w, h)

@@ -351,3 +351,17 @@ func TestOpString(t *testing.T) {
 		t.Errorf("unknown op string = %q", Op(99).String())
 	}
 }
+
+// MeanRGB returns the per-channel mean of the image in [0,255].
+func (m *Image) MeanRGB() (r, g, b float64) {
+	if len(m.Pix) == 0 {
+		return 0, 0, 0
+	}
+	for _, p := range m.Pix {
+		r += float64(p.R)
+		g += float64(p.G)
+		b += float64(p.B)
+	}
+	n := float64(len(m.Pix))
+	return r / n, g / n, b / n
+}

@@ -110,9 +110,6 @@ func NewLinearScan() *LinearScan { return &LinearScan{} }
 // Insert appends the item.
 func (s *LinearScan) Insert(item SpatialItem) { s.items = append(s.items, item) }
 
-// Len returns the item count.
-func (s *LinearScan) Len() int { return len(s.items) }
-
 // SearchRect scans all items.
 func (s *LinearScan) SearchRect(q geo.Rect) []uint64 {
 	var out []uint64

@@ -65,9 +65,6 @@ func newHNode(dim int, leaf bool) *hnode {
 	return n
 }
 
-// Len returns the number of indexed items.
-func (t *HybridTree) Len() int { return t.size }
-
 func (n *hnode) absorbVec(v []float64) {
 	for i, x := range v {
 		if x < n.fmin[i] {
@@ -435,32 +432,4 @@ func (t *HybridTree) SearchSpatialVisual(ctx context.Context, qRect geo.Rect, qV
 	}
 	finalizeMatches(best)
 	return best, nil
-}
-
-// SearchRect returns IDs of items intersecting qRect (the hybrid tree can
-// also serve plain spatial queries).
-func (t *HybridTree) SearchRect(qRect geo.Rect) []uint64 {
-	if t.size == 0 {
-		return nil
-	}
-	var out []uint64
-	var walk func(n *hnode)
-	walk = func(n *hnode) {
-		if !n.rect.Intersects(qRect) {
-			return
-		}
-		if n.leaf {
-			for _, it := range n.items {
-				if it.Rect.Intersects(qRect) {
-					out = append(out, it.ID)
-				}
-			}
-			return
-		}
-		for _, c := range n.children {
-			walk(c)
-		}
-	}
-	walk(t.root)
-	return out
 }

@@ -58,7 +58,7 @@ func TestNewRTreeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 0 || tr.Depth() != 1 {
+	if tr.size != 0 || tr.Depth() != 1 {
 		t.Fatal("empty tree shape wrong")
 	}
 }
@@ -89,8 +89,8 @@ func TestRTreeMatchesLinearScan(t *testing.T) {
 
 func TestRTreeGrowsAndBalances(t *testing.T) {
 	tr, _ := buildRTree(t, 2000, 3)
-	if tr.Len() != 2000 {
-		t.Fatalf("len = %d", tr.Len())
+	if tr.size != 2000 {
+		t.Fatalf("len = %d", tr.size)
 	}
 	if d := tr.Depth(); d < 2 || d > 6 {
 		t.Fatalf("depth = %d for 2000 items", d)
@@ -102,23 +102,6 @@ func TestRTreeInsertInvalidRect(t *testing.T) {
 	bad := geo.Rect{MinLat: 2, MaxLat: 1}
 	if err := tr.Insert(SpatialItem{ID: 9, Rect: bad}); err == nil {
 		t.Fatal("invalid rect accepted")
-	}
-}
-
-func TestRTreeSearchPoint(t *testing.T) {
-	tr, err := NewRTree(DefaultRTreeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := geo.Rect{MinLat: 34, MinLon: -118, MaxLat: 34.1, MaxLon: -117.9}
-	if err := tr.Insert(SpatialItem{ID: 1, Rect: r}); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.SearchPoint(geo.Point{Lat: 34.05, Lon: -117.95}); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("point hit = %v", got)
-	}
-	if got := tr.SearchPoint(geo.Point{Lat: 35, Lon: -117.95}); len(got) != 0 {
-		t.Fatalf("point miss = %v", got)
 	}
 }
 
@@ -176,8 +159,8 @@ func TestRTreeDelete(t *testing.T) {
 	if err := tr.Delete(victim.ID, victim.Rect); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 99 {
-		t.Fatalf("len after delete = %d", tr.Len())
+	if tr.size != 99 {
+		t.Fatalf("len after delete = %d", tr.size)
 	}
 	for _, id := range tr.SearchRect(victim.Rect) {
 		if id == victim.ID {
@@ -363,23 +346,61 @@ func TestLSHWithinRadius(t *testing.T) {
 	}
 }
 
+// TestLSHTopKExactOnSmallIndex: an index holding no more rows than the
+// re-rank shortlist answers top-k exactly. On these six unit-spaced 4-d
+// rows the bucketed path used to drop row 4 from row 6's top-3.
+func TestLSHTopKExactOnSmallIndex(t *testing.T) {
+	ctx := context.Background()
+	l, err := NewLSH(4, DefaultLSHConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := l.TopK(ctx, []float64{0, 1, 2, 3}, 3); got != nil || err != nil {
+		t.Fatalf("empty index: %v, %v", got, err)
+	}
+	for id := uint64(1); id <= 6; id++ {
+		if err := l.Insert(id, []float64{float64(id - 1), 1, 2, 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(1); id <= 6; id++ {
+		q := l.vectors[id]
+		got, err := l.TopK(ctx, q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := l.ExactTopK(ctx, q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("row %d: top-3 %v, exact %v", id, got, want)
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Abs(got[i].Dist-want[i].Dist) > 1e-12 {
+				t.Fatalf("row %d: top-3 %v, exact %v", id, got, want)
+			}
+		}
+	}
+}
+
 func TestLSHRemoveAndReplace(t *testing.T) {
 	l, _ := NewLSH(4, DefaultLSHConfig(4))
 	_ = l.Insert(1, []float64{1, 2, 3, 4})
-	if l.Len() != 1 {
+	if len(l.vectors) != 1 {
 		t.Fatal("len after insert")
 	}
 	// Replacing moves the vector.
 	_ = l.Insert(1, []float64{5, 6, 7, 8})
-	if l.Len() != 1 {
-		t.Fatalf("len after replace = %d", l.Len())
+	if len(l.vectors) != 1 {
+		t.Fatalf("len after replace = %d", len(l.vectors))
 	}
 	got, _ := l.ExactTopK(context.Background(), []float64{5, 6, 7, 8}, 1)
 	if got[0].Dist != 0 {
 		t.Fatal("replacement vector not stored")
 	}
 	l.Remove(1)
-	if l.Len() != 0 {
+	if len(l.vectors) != 0 {
 		t.Fatal("remove failed")
 	}
 	l.Remove(42) // no-op
@@ -409,8 +430,8 @@ func TestInvertedBasics(t *testing.T) {
 	ix.Add(1, []string{"tent", "homeless"})
 	ix.Add(2, []string{"trash", "bags"})
 	ix.Add(3, []string{"tent", "trash"})
-	if ix.Docs() != 3 || ix.Terms() != 4 {
-		t.Fatalf("docs=%d terms=%d", ix.Docs(), ix.Terms())
+	if len(ix.docLens) != 3 || len(ix.postings) != 4 {
+		t.Fatalf("docs=%d terms=%d", len(ix.docLens), len(ix.postings))
 	}
 	got := ix.SearchAny([]string{"tent"})
 	set := idSet(matchIDs(got))
@@ -450,22 +471,12 @@ func TestInvertedTFIDFRanking(t *testing.T) {
 	}
 }
 
-func TestInvertedCaseAndTokenize(t *testing.T) {
+func TestInvertedCaseInsensitive(t *testing.T) {
 	ix := NewInverted()
-	ix.AddText(1, "Illegal Dumping near 5th St!")
+	ix.Add(1, []string{"Illegal", "Dumping", "near", "5th", "St"})
 	got := ix.SearchAny([]string{"DUMPING"})
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("case-insensitive search failed: %+v", got)
-	}
-	toks := Tokenize("Hello, World-42!")
-	want := []string{"hello", "world", "42"}
-	if len(toks) != 3 {
-		t.Fatalf("tokens = %v", toks)
-	}
-	for i := range want {
-		if toks[i] != want[i] {
-			t.Fatalf("tokens = %v", toks)
-		}
 	}
 }
 
@@ -474,8 +485,8 @@ func TestInvertedRemove(t *testing.T) {
 	ix.Add(1, []string{"tent"})
 	ix.Add(2, []string{"tent"})
 	ix.Remove(1)
-	if ix.Docs() != 1 {
-		t.Fatalf("docs = %d", ix.Docs())
+	if len(ix.docLens) != 1 {
+		t.Fatalf("docs = %d", len(ix.docLens))
 	}
 	got := ix.SearchAny([]string{"tent"})
 	if len(got) != 1 || got[0].ID != 2 {
@@ -516,28 +527,23 @@ func TestTemporalOutOfOrderInsert(t *testing.T) {
 	}
 }
 
-func TestTemporalLatestAndRemove(t *testing.T) {
+func TestTemporalRemove(t *testing.T) {
 	ix := NewTemporal()
 	base := time.Date(2019, 3, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 5; i++ {
 		ix.Insert(uint64(i), base.Add(time.Duration(i)*time.Minute))
 	}
-	got := ix.Latest(2)
-	if len(got) != 2 || got[0] != 4 || got[1] != 3 {
-		t.Fatalf("latest = %v", got)
-	}
 	ix.Remove(4, base.Add(4*time.Minute))
-	if got := ix.Latest(1); got[0] != 3 {
-		t.Fatalf("latest after remove = %v", got)
+	got := ix.Range(base, base.Add(time.Hour))
+	if len(got) != 4 || got[3] != 3 {
+		t.Fatalf("range after remove = %v", got)
 	}
-	if ix.Len() != 4 {
-		t.Fatalf("len = %d", ix.Len())
+	if len(ix.entries) != 4 {
+		t.Fatalf("len = %d", len(ix.entries))
 	}
-	if got := ix.Latest(0); got != nil {
-		t.Fatal("latest(0) should be nil")
-	}
-	if got := ix.Latest(100); len(got) != 4 {
-		t.Fatalf("latest(100) = %v", got)
+	ix.Remove(4, base.Add(4*time.Minute)) // no-op
+	if len(ix.entries) != 4 {
+		t.Fatalf("len after repeated remove = %d", len(ix.entries))
 	}
 }
 
@@ -559,8 +565,8 @@ func TestHybridTreeMatchesBruteForce(t *testing.T) {
 		}
 		recs = append(recs, rec{it})
 	}
-	if ht.Len() != 400 {
-		t.Fatalf("len = %d", ht.Len())
+	if ht.size != 400 {
+		t.Fatalf("len = %d", ht.size)
 	}
 	for trial := 0; trial < 15; trial++ {
 		qr := randRect(rng)
@@ -608,7 +614,14 @@ func TestHybridTreeSpatialOnly(t *testing.T) {
 		query := randRect(rng)
 		query.MaxLat += 0.03
 		query.MaxLon += 0.03
-		got := idSet(ht.SearchRect(query))
+		ms, err := ht.SearchSpatialVisual(context.Background(), query, randVec(rng, dim), 300)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[uint64]bool{}
+		for _, m := range ms {
+			got[m.ID] = true
+		}
 		want := idSet(scan.SearchRect(query))
 		if len(got) != len(want) {
 			t.Fatalf("hybrid %d hits vs scan %d", len(got), len(want))
@@ -712,7 +725,7 @@ func TestInvertedAddRemoveInverseProperty(t *testing.T) {
 				return false
 			}
 		}
-		return ix.Docs() == 20
+		return len(ix.docLens) == 20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -751,4 +764,15 @@ func TestLSHInsertFindsSelfProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Depth returns the height of the tree (1 for a root-only tree).
+func (t *RTree) Depth() int {
+	d := 1
+	n := t.root
+	for !n.leaf {
+		d++
+		n = n.children[0]
+	}
+	return d
 }

@@ -23,13 +23,6 @@ func NewInverted() *Inverted {
 	}
 }
 
-// Tokenize lower-cases and splits text on non-alphanumeric runes.
-func Tokenize(text string) []string {
-	return strings.FieldsFunc(strings.ToLower(text), func(r rune) bool {
-		return !(r >= 'a' && r <= 'z' || r >= '0' && r <= '9')
-	})
-}
-
 // Add indexes the document's terms; re-adding an ID merges new terms into
 // the existing posting lists (keywords accumulate on TVDP images).
 func (ix *Inverted) Add(id uint64, terms []string) {
@@ -48,11 +41,6 @@ func (ix *Inverted) Add(id uint64, terms []string) {
 	}
 }
 
-// AddText tokenizes free text and indexes it.
-func (ix *Inverted) AddText(id uint64, text string) {
-	ix.Add(id, Tokenize(text))
-}
-
 // Remove deletes a document from every posting list.
 func (ix *Inverted) Remove(id uint64) {
 	if _, ok := ix.docLens[id]; !ok {
@@ -66,12 +54,6 @@ func (ix *Inverted) Remove(id uint64) {
 	}
 	delete(ix.docLens, id)
 }
-
-// Docs returns the number of indexed documents.
-func (ix *Inverted) Docs() int { return len(ix.docLens) }
-
-// Terms returns the vocabulary size.
-func (ix *Inverted) Terms() int { return len(ix.postings) }
 
 // DocFreqs returns the corpus statistics the TF-IDF scorer consumes: the
 // number of indexed documents and, aligned with terms, each term's

@@ -126,12 +126,6 @@ func NewLSH(dim int, cfg LSHConfig) (*LSH, error) {
 	return l, nil
 }
 
-// Len returns the number of indexed vectors.
-func (l *LSH) Len() int { return len(l.vectors) }
-
-// Dim returns the indexed dimensionality.
-func (l *LSH) Dim() int { return l.dim }
-
 // keyBuf holds one bucket key without a heap allocation at the default
 // Hashes (6 × 8 bytes); larger configurations grow it.
 type keyBuf [64]byte
@@ -331,6 +325,12 @@ func (l *LSH) TopK(ctx context.Context, q []float64, k int) ([]Match, error) {
 	}
 	if k <= 0 {
 		return nil, nil
+	}
+	// An index no larger than the shortlist fits in it whole: the full
+	// quantized scan re-ranks every row at full precision, which is exact
+	// where the buckets might miss a neighbour, and costs no more.
+	if len(l.slabIDs) <= shortlistSize(k) {
+		return l.QuantTopK(ctx, q, k)
 	}
 	cands, err := l.candidates(ctx, q)
 	if err != nil {

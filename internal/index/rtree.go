@@ -66,9 +66,6 @@ func NewRTree(cfg RTreeConfig) (*RTree, error) {
 	return &RTree{cfg: cfg, root: &rnode{leaf: true}}, nil
 }
 
-// Len returns the number of indexed items.
-func (t *RTree) Len() int { return t.size }
-
 // Insert adds an item. Duplicate IDs are allowed (the store enforces
 // uniqueness above this layer).
 func (t *RTree) Insert(item SpatialItem) error {
@@ -265,11 +262,6 @@ func (t *RTree) SearchRect(q geo.Rect) []uint64 {
 	return out
 }
 
-// SearchPoint returns the IDs of all items whose rect contains p.
-func (t *RTree) SearchPoint(p geo.Point) []uint64 {
-	return t.SearchRect(geo.Rect{MinLat: p.Lat, MinLon: p.Lon, MaxLat: p.Lat, MaxLon: p.Lon})
-}
-
 // NearestK returns up to k item IDs ordered by ascending distance from p
 // to the item rect (best-first branch and bound).
 func (t *RTree) NearestK(p geo.Point, k int) []uint64 {
@@ -410,15 +402,4 @@ func recomputeRect(n *rnode) geo.Rect {
 		return geo.Rect{}
 	}
 	return mbrOf(es)
-}
-
-// Depth returns the height of the tree (1 for a root-only tree).
-func (t *RTree) Depth() int {
-	d := 1
-	n := t.root
-	for !n.leaf {
-		d++
-		n = n.children[0]
-	}
-	return d
 }

@@ -37,9 +37,6 @@ func NewTemporal() *Temporal {
 	return t
 }
 
-// Len returns the number of indexed entries.
-func (t *Temporal) Len() int { return len(t.entries) }
-
 // Insert adds (id, at). Out-of-order inserts mark the index for a lazy
 // re-sort on the next query.
 func (t *Temporal) Insert(id uint64, at time.Time) {
@@ -121,24 +118,6 @@ func (t *Temporal) RangeEntries(from, to time.Time) []TimeEntry {
 	var out []TimeEntry
 	for i := lo; i < len(t.entries) && !t.entries[i].at.After(to); i++ {
 		out = append(out, TimeEntry{ID: t.entries[i].id, At: t.entries[i].at})
-	}
-	return out
-}
-
-// Latest returns up to k IDs with the most recent timestamps, newest
-// first.
-func (t *Temporal) Latest(k int) []uint64 {
-	if k <= 0 {
-		return nil
-	}
-	t.ensureSorted()
-	n := len(t.entries)
-	if k > n {
-		k = n
-	}
-	out := make([]uint64, 0, k)
-	for i := n - 1; i >= n-k; i-- {
-		out = append(out, t.entries[i].id)
 	}
 	return out
 }

@@ -175,8 +175,9 @@ func TestAsyncSubmitExtractsAndIndexes(t *testing.T) {
 	// Recall parity: the index the workers maintained online answers
 	// every stored row's top-k probe exactly as an index built in one
 	// pass over the same vectors does, and each row finds itself first.
-	// LSH is approximate: on these unit-spaced vectors row 6's top-3
-	// misses row 4 against SearchVisualExact, in both indexes.
+	// Six rows fit in the re-rank shortlist, so both indexes answer by a
+	// full quantized scan and their top-3 is exact (LSH buckets alone
+	// once dropped row 4 from row 6's top-3 here).
 	ref, err := index.NewLSH(4, store.DefaultConfig().LSH)
 	if err != nil {
 		t.Fatal(err)

@@ -79,34 +79,48 @@ func DefaultAnalyzers() []Analyzer {
 		NewGuardedBy(),
 		NewGoLifecycle(),
 		NewFsyncOrder(),
+		NewReach(),
 	}
 }
 
-// Run executes every analyzer over every package, applies nolint
-// suppression, and returns the surviving findings sorted by position.
-// Malformed directives (no justification) are reported as findings of the
-// synthetic "nolint" analyzer and do not suppress anything; well-formed
-// directives that suppressed nothing — judged only when every analyzer
-// they name is part of this run — are reported as stale.
+// Run executes every analyzer over every package (a ModuleAnalyzer over
+// all of them at once), applies nolint suppression, and returns the
+// surviving findings sorted by position. Malformed directives (no
+// justification) are reported as findings of the synthetic "nolint"
+// analyzer and do not suppress anything; well-formed directives that
+// suppressed nothing — judged only when every analyzer they name is part
+// of this run — are reported as stale.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	ran := map[string]bool{}
 	for _, a := range analyzers {
 		ran[a.Name()] = true
 	}
 	var out []Finding
+	dirs := directiveSet{}
 	for _, pkg := range pkgs {
-		dirs, bad := parseDirectives(pkg)
+		ds, bad := parseDirectives(pkg)
 		out = append(out, bad...)
-		for _, a := range analyzers {
-			for _, f := range a.Check(pkg) {
-				if dirs.suppresses(f) {
-					continue
-				}
+		for file, lines := range ds {
+			dirs[file] = lines
+		}
+	}
+	keep := func(fs []Finding) {
+		for _, f := range fs {
+			if !dirs.suppresses(f) {
 				out = append(out, f)
 			}
 		}
-		out = append(out, dirs.stale(ran)...)
 	}
+	for _, a := range analyzers {
+		if m, ok := a.(ModuleAnalyzer); ok {
+			keep(m.CheckModule(pkgs))
+			continue
+		}
+		for _, pkg := range pkgs {
+			keep(a.Check(pkg))
+		}
+	}
+	out = append(out, dirs.stale(ran)...)
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {

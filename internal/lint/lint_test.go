@@ -21,22 +21,18 @@ import (
 
 var wantRe = regexp.MustCompile(`// want "([^"]*)"`)
 
-// fixtureWants scans a fixture directory's sources for want comments,
-// keyed by "<basename>:<line>".
+// fixtureWants scans a fixture directory's sources, subdirectories
+// included, for want comments, keyed by "<basename>:<line>".
 func fixtureWants(t *testing.T, dir string) map[string][]string {
 	t.Helper()
 	wants := map[string][]string{}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatalf("reading fixture dir: %v", err)
-	}
-	for _, e := range ents {
-		if !strings.HasSuffix(e.Name(), ".go") {
-			continue
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(e.Name(), ".go") {
+			return err
 		}
-		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		data, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("reading fixture file: %v", err)
+			return err
 		}
 		for i, line := range strings.Split(string(data), "\n") {
 			for _, m := range wantRe.FindAllStringSubmatch(line, -1) {
@@ -44,17 +40,21 @@ func fixtureWants(t *testing.T, dir string) map[string][]string {
 				wants[key] = append(wants[key], m[1])
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading fixture: %v", err)
 	}
 	return wants
 }
 
 func runFixture(t *testing.T, dir string, analyzers []Analyzer) []Finding {
 	t.Helper()
-	pkg, err := LoadFixture(dir)
+	pkgs, err := LoadFixture(dir)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	return Run([]*Package{pkg}, analyzers)
+	return Run(pkgs, analyzers)
 }
 
 func dump(fs []Finding) string {
@@ -83,6 +83,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{"guardedby", []Analyzer{NewGuardedBy()}},
 		{"golifecycle", []Analyzer{&GoLifecycle{Scope: fixtureScope}}},
 		{"fsyncorder", []Analyzer{&FsyncOrder{Scope: fixtureScope}}},
+		{"reach", []Analyzer{&Reach{Scope: fixtureScope}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -140,11 +140,16 @@ func LoadModule(root string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadFixture parses and type-checks a single standalone directory — the
+// LoadFixture parses and type-checks a standalone fixture directory — the
 // analyzer test fixtures under testdata/, which the module walk skips on
-// purpose. The package gets the import path "fixture/<dirname>"; fixtures
-// may import only the standard library.
-func LoadFixture(dir string) (*Package, error) {
+// purpose. A fixture with its own go.mod is a small module (the reach
+// fixture needs a main package beside the one it judges) and loads like
+// one. Otherwise the directory is one package with the import path
+// "fixture/<dirname>" that may import only the standard library.
+func LoadFixture(dir string) ([]*Package, error) {
+	if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
+		return LoadModule(dir)
+	}
 	fset := token.NewFileSet()
 	ip := "fixture/" + filepath.Base(dir)
 	pp, err := parseDir(fset, dir, ip, "")
@@ -155,7 +160,11 @@ func LoadFixture(dir string) (*Package, error) {
 		return nil, fmt.Errorf("lint: no Go files in fixture %s", dir)
 	}
 	imp := &chainImporter{std: importer.ForCompiler(fset, "source", nil)}
-	return check(fset, pp.files, ip, imp)
+	pkg, err := check(fset, pp.files, ip, imp)
+	if err != nil {
+		return nil, err
+	}
+	return []*Package{pkg}, nil
 }
 
 func parseDir(fset *token.FileSet, dir, importPath, mod string) (*parsedPkg, error) {

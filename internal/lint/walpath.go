@@ -19,11 +19,11 @@ import (
 //
 //   - Methods on the walWriter type and on the walBackend interface
 //     (Write/Sync/Close/append) may be called only from the WAL layer's
-//     own files: wal.go, committer.go, the fault-injection shim
-//     faultfs.go, and — since PR 8 — the segment engine's durability
-//     files (segment.go writes blobs through the backend hook so crash
-//     sweeps can tear them; engine.go and manifest.go orchestrate
-//     rotation and installs).
+//     own files: wal.go, committer.go, and the segment engine's
+//     durability files (segment.go writes blobs through the backend hook
+//     so crash sweeps can tear them; engine.go and manifest.go
+//     orchestrate rotation and installs). The fault-injection shim lives
+//     in a _test.go file, which the loader never parses.
 //   - walPayloads.encode — the raw payload encoder — may be called only
 //     from wal.go, where encodeFrame wraps it in the length+CRC framing.
 //
@@ -46,7 +46,7 @@ func NewWALPath() *WALPath {
 		WriterType:   "walWriter",
 		BackendType:  "walBackend",
 		PayloadVar:   "walPayloads",
-		AllowedFiles: []string{"wal.go", "committer.go", "faultfs.go", "segment.go", "manifest.go", "engine.go"},
+		AllowedFiles: []string{"wal.go", "committer.go", "segment.go", "manifest.go", "engine.go"},
 		EncoderFile:  "wal.go",
 	}
 }

@@ -335,30 +335,6 @@ func TestPerfectAndZeroF1(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplit(t *testing.T) {
-	d := blobs(100, 11)
-	train, test, err := TrainTestSplit(d, 0.8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if train.Len() != 80 || test.Len() != 20 {
-		t.Fatalf("split sizes = %d/%d", train.Len(), test.Len())
-	}
-	if _, _, err := TrainTestSplit(d, 0, 1); err == nil {
-		t.Fatal("frac 0 accepted")
-	}
-	if _, _, err := TrainTestSplit(d, 1, 1); err == nil {
-		t.Fatal("frac 1 accepted")
-	}
-	// Determinism.
-	tr2, _, _ := TrainTestSplit(d, 0.8, 1)
-	for i := range train.Y {
-		if train.Y[i] != tr2.Y[i] {
-			t.Fatal("same-seed splits differ")
-		}
-	}
-}
-
 func TestStratifiedSplitPreservesProportions(t *testing.T) {
 	d := blobs(90, 12) // 30 per class
 	train, test, err := StratifiedSplit(d, 0.8, 2)
@@ -544,12 +520,12 @@ func TestAccuracyEqualsWeightedRecallProperty(t *testing.T) {
 	}
 }
 
-func TestTrainTestSplitPartitionProperty(t *testing.T) {
+func TestStratifiedSplitPartitionProperty(t *testing.T) {
 	// Train and test always partition the dataset: sizes sum and no row
 	// appears twice (checked via label multiset).
 	f := func(seed int64) bool {
 		d := blobs(60, seed)
-		train, test, err := TrainTestSplit(d, 0.7, seed)
+		train, test, err := StratifiedSplit(d, 0.7, seed)
 		if err != nil {
 			return false
 		}
@@ -615,4 +591,20 @@ func TestReportRendering(t *testing.T) {
 
 func containsStr(s, sub string) bool {
 	return strings.Contains(s, sub)
+}
+
+// Depth returns the height of the fitted tree (0 for a single leaf).
+func (t *DecisionTree) Depth() int {
+	var depth func(n *treeNode) int
+	depth = func(n *treeNode) int {
+		if n == nil || n.leaf {
+			return 0
+		}
+		l, r := depth(n.left), depth(n.right)
+		if l > r {
+			return l + 1
+		}
+		return r + 1
+	}
+	return depth(t.root)
 }

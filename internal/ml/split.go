@@ -18,24 +18,6 @@ func shuffledIndices(n int, seed int64) []int {
 	return idx
 }
 
-// TrainTestSplit splits d into a training set with trainFrac of the rows
-// and a test set with the remainder, after a seeded shuffle. The paper's
-// protocol is an 80/20 split.
-func TrainTestSplit(d Dataset, trainFrac float64, seed int64) (train, test Dataset, err error) {
-	if err := d.Validate(); err != nil {
-		return Dataset{}, Dataset{}, err
-	}
-	if trainFrac <= 0 || trainFrac >= 1 {
-		return Dataset{}, Dataset{}, fmt.Errorf("ml: trainFrac %.3f out of (0,1)", trainFrac)
-	}
-	idx := shuffledIndices(d.Len(), seed)
-	cut := int(float64(d.Len()) * trainFrac)
-	if cut == 0 || cut == d.Len() {
-		return Dataset{}, Dataset{}, fmt.Errorf("ml: split leaves an empty side (n=%d frac=%.3f)", d.Len(), trainFrac)
-	}
-	return d.Subset(idx[:cut]), d.Subset(idx[cut:]), nil
-}
-
 // StratifiedSplit splits d preserving per-class proportions. Every class
 // must contribute at least one row to each side.
 func StratifiedSplit(d Dataset, trainFrac float64, seed int64) (train, test Dataset, err error) {

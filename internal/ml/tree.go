@@ -266,22 +266,6 @@ func (t *DecisionTree) PredictProba(x []float64) ([]float64, error) {
 	return out, nil
 }
 
-// Depth returns the height of the fitted tree (0 for a single leaf).
-func (t *DecisionTree) Depth() int {
-	var depth func(n *treeNode) int
-	depth = func(n *treeNode) int {
-		if n == nil || n.leaf {
-			return 0
-		}
-		l, r := depth(n.left), depth(n.right)
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
-	return depth(t.root)
-}
-
 // ForestConfig controls random-forest training.
 type ForestConfig struct {
 	Trees int

@@ -37,24 +37,6 @@ func (n *Network) OutShape() Shape {
 	return s
 }
 
-// Params returns the total number of learnable parameters.
-func (n *Network) Params() int {
-	total := 0
-	for _, l := range n.Layers {
-		total += l.Params()
-	}
-	return total
-}
-
-// FLOPs returns the multiply-accumulate cost of one forward pass.
-func (n *Network) FLOPs() int64 {
-	var total int64
-	for _, l := range n.Layers {
-		total += l.FLOPs()
-	}
-	return total
-}
-
 // Forward runs the full network and returns the final activations (logits).
 // It retains per-layer state for a subsequent Backward, so it must not be
 // called concurrently; inference paths should use Infer instead.
@@ -157,11 +139,6 @@ type TrainConfig struct {
 	// minibatches are never torn: the abort happens only on batch
 	// boundaries, after the optimiser update.
 	Stop func() error
-}
-
-// DefaultTrainConfig returns sensible small-scale defaults.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 10, BatchSize: 16, LR: 0.05, Momentum: 0.9, Seed: 1}
 }
 
 // trainShardGrain is the number of batch items per gradient shard. It is a

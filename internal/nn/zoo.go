@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // ModelProfile captures the published complexity characteristics of the
 // pretrained architectures the paper transfers onto (MobileNetV1,
@@ -46,16 +43,6 @@ var (
 // Profiles returns the Fig. 8 model set in paper order.
 func Profiles() []ModelProfile {
 	return []ModelProfile{MobileNetV1, MobileNetV2, InceptionV3}
-}
-
-// ProfileByName returns the named profile.
-func ProfileByName(name string) (ModelProfile, error) {
-	for _, p := range Profiles() {
-		if p.Name == name {
-			return p, nil
-		}
-	}
-	return ModelProfile{}, fmt.Errorf("nn: unknown model profile %q", name)
 }
 
 // FLOPsAt returns the forward-pass cost at a square input of the given

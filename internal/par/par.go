@@ -25,7 +25,6 @@
 package par
 
 import (
-	"context"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -85,50 +84,6 @@ func run(n, w, grain int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// runCtx is run with a cancellation checkpoint at every grain boundary:
-// a worker checks ctx before pulling the next block from the cursor and
-// stops dispatching once the context is done. Blocks already started run
-// to completion — cancellation never tears a grain in half — so every
-// slot a caller observes as written holds exactly the value a serial run
-// would have produced. Returns ctx.Err() if any work was skipped.
-func runCtx(ctx context.Context, n, w, grain int, fn func(lo, hi int)) error {
-	if grain < 1 {
-		grain = 1
-	}
-	var cursor atomic.Int64
-	var stopped atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					stopped.Store(true)
-					return
-				}
-				hi := int(cursor.Add(int64(grain)))
-				lo := hi - grain
-				if lo >= n {
-					return
-				}
-				if hi > n {
-					hi = n
-				}
-				fn(lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-	// stopped records whether any worker skipped work: if none did, every
-	// item in [0, n) ran to completion even when ctx was cancelled in the
-	// same instant, and the output is complete.
-	if stopped.Load() {
-		return context.Cause(ctx)
-	}
-	return nil
-}
-
 // For runs fn(i) for every i in [0, n) on the worker pool. fn must be safe
 // to call concurrently and must not care about execution order; writes to
 // distinct per-index slots are the intended communication pattern.
@@ -150,48 +105,6 @@ func For(n int, fn func(i int)) {
 	// still load-balancing expensive ones.
 	grain := n / (w * 8)
 	run(n, w, grain, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fn(i)
-		}
-	})
-}
-
-// ForCtx is For with a cancellation checkpoint between grains: once ctx
-// is done, no new block is dispatched, but blocks already started run to
-// completion, so every index fn was called for holds exactly the value a
-// serial run would have produced (the determinism contract restricted to
-// the completed subset). Returns nil when every index ran, else the
-// context's cause.
-func ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	if n <= 0 {
-		return nil
-	}
-	w := Workers()
-	if w > n {
-		w = n
-	}
-	grain := n / (w * 8)
-	if grain < 1 {
-		grain = 1
-	}
-	if w <= 1 {
-		// Serial path: the checkpoint cadence matches the parallel grain so
-		// cancellation latency is worker-count independent.
-		for lo := 0; lo < n; lo += grain {
-			if err := ctx.Err(); err != nil {
-				return context.Cause(ctx)
-			}
-			hi := lo + grain
-			if hi > n {
-				hi = n
-			}
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}
-		return nil
-	}
-	return runCtx(ctx, n, w, grain, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i)
 		}
@@ -222,38 +135,6 @@ func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
 	})
 	if firstErr != nil {
 		return nil, firstErr
-	}
-	return out, nil
-}
-
-// MapCtx is Map with ForCtx's cancellation contract. On cancellation it
-// returns (nil, cause) without waiting for undispatched items; indices
-// that did run produced exactly the serial values, but the slice is
-// withheld because its completeness cannot be promised. Item errors from
-// completed indices take precedence over the cancellation, matching
-// Map's lowest-failing-index rule over the completed subset.
-func MapCtx[T any](ctx context.Context, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	var mu sync.Mutex
-	errIdx := -1
-	var firstErr error
-	ctxErr := ForCtx(ctx, n, func(i int) {
-		v, err := fn(i)
-		if err != nil {
-			mu.Lock()
-			if errIdx < 0 || i < errIdx {
-				errIdx, firstErr = i, err
-			}
-			mu.Unlock()
-			return
-		}
-		out[i] = v
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if ctxErr != nil {
-		return nil, ctxErr
 	}
 	return out, nil
 }
@@ -293,19 +174,6 @@ func ShardBounds(n, grain, s int) (lo, hi int) {
 func ForShards(n, grain int, fn func(shard, lo, hi int)) {
 	shards := NumShards(n, grain)
 	For(shards, func(s int) {
-		lo, hi := ShardBounds(n, grain, s)
-		fn(s, lo, hi)
-	})
-}
-
-// ForShardsCtx is ForShards with ForCtx's cancellation contract: shards
-// are whole grains, so a cancelled call never splits a shard — every
-// shard either ran completely (its partial is exactly the serial value)
-// or not at all. Returns nil when every shard ran, else the context's
-// cause.
-func ForShardsCtx(ctx context.Context, n, grain int, fn func(shard, lo, hi int)) error {
-	shards := NumShards(n, grain)
-	return ForCtx(ctx, shards, func(s int) {
 		lo, hi := ShardBounds(n, grain, s)
 		fn(s, lo, hi)
 	})

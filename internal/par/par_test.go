@@ -1,7 +1,6 @@
 package par
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -161,187 +160,5 @@ func TestSplitSeedIndependence(t *testing.T) {
 	}
 	if SplitSeed(1, 0) != SplitSeed(1, 0) {
 		t.Fatal("SplitSeed not deterministic")
-	}
-}
-
-// --- ctx-variant contract tests -------------------------------------------
-//
-// The cancellation contract: cancellation is observed only at grain
-// boundaries, a started grain always runs to completion, and every index
-// that ran produced exactly the value a serial run would have — for any
-// worker count. These tests pin all three properties and, under -race,
-// that a cancelled call never deadlocks.
-
-func TestForCtxCompletesWhenNotCancelled(t *testing.T) {
-	for _, w := range []int{1, 2, 7} {
-		withWorkers(t, w, func() {
-			const n = 1000
-			hits := make([]int32, n)
-			if err := ForCtx(context.Background(), n, func(i int) { atomic.AddInt32(&hits[i], 1) }); err != nil {
-				t.Fatalf("workers=%d ForCtx = %v", w, err)
-			}
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d index %d hit %d times", w, i, h)
-				}
-			}
-		})
-	}
-	if err := ForCtx(context.Background(), 0, func(int) { t.Fatal("called for n=0") }); err != nil {
-		t.Fatalf("n=0 ForCtx = %v", err)
-	}
-}
-
-func TestForCtxPreCancelledRunsNothing(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for _, w := range []int{1, 4} {
-		withWorkers(t, w, func() {
-			var calls atomic.Int32
-			err := ForCtx(ctx, 10000, func(int) { calls.Add(1) })
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d err = %v, want context.Canceled", w, err)
-			}
-			if calls.Load() != 0 {
-				t.Fatalf("workers=%d ran %d items on a pre-cancelled ctx", w, calls.Load())
-			}
-		})
-	}
-}
-
-// TestForCtxGrainsNeverTear cancels mid-run and asserts the all-or-nothing
-// grain property: for every grain block, either every index in it ran (and
-// its slot holds the serial value) or none did. This is the worker-count
-// invariance of completed work — a written slot is bit-identical to what a
-// serial run writes, regardless of when cancellation landed.
-func TestForCtxGrainsNeverTear(t *testing.T) {
-	const n = 4096
-	for _, w := range []int{1, 2, 8} {
-		withWorkers(t, w, func() {
-			grain := n / (w * 8)
-			if grain < 1 {
-				grain = 1
-			}
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			slots := make([]int64, n)
-			var done atomic.Int32
-			err := ForCtx(ctx, n, func(i int) {
-				atomic.StoreInt64(&slots[i], int64(i)*3+1) // the "serial value"
-				if done.Add(1) == n/4 {
-					cancel() // land the cancellation mid-run
-				}
-			})
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d err = %v", w, err)
-			}
-			for lo := 0; lo < n; lo += grain {
-				hi := lo + grain
-				if hi > n {
-					hi = n
-				}
-				ran, missed := 0, 0
-				for i := lo; i < hi; i++ {
-					v := atomic.LoadInt64(&slots[i])
-					switch v {
-					case 0:
-						missed++
-					case int64(i)*3 + 1:
-						ran++
-					default:
-						t.Fatalf("workers=%d slot %d = %d, not the serial value", w, i, v)
-					}
-				}
-				if ran != 0 && missed != 0 {
-					t.Fatalf("workers=%d grain [%d,%d) torn: %d ran, %d missed", w, lo, hi, ran, missed)
-				}
-			}
-			if err == nil && done.Load() != n {
-				t.Fatalf("workers=%d nil error but only %d/%d ran", w, done.Load(), n)
-			}
-		})
-	}
-}
-
-func TestMapCtxContract(t *testing.T) {
-	// Complete run: full slice, nil error.
-	out, err := MapCtx(context.Background(), 50, func(i int) (int, error) { return i * i, nil })
-	if err != nil || len(out) != 50 || out[7] != 49 {
-		t.Fatalf("MapCtx = (%v, %v)", out, err)
-	}
-	// Pre-cancelled: withheld slice, the cause.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if out, err := MapCtx(ctx, 50, func(i int) (int, error) { return i, nil }); out != nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled MapCtx = (%v, %v)", out, err)
-	}
-	// Item errors from completed indices beat the cancellation.
-	wantErr := errors.New("item 3 broke")
-	withWorkers(t, 1, func() {
-		ctx2, cancel2 := context.WithCancel(context.Background())
-		defer cancel2()
-		_, err := MapCtx(ctx2, 8, func(i int) (int, error) {
-			if i == 3 {
-				cancel2()
-				return 0, wantErr
-			}
-			return i, nil
-		})
-		if !errors.Is(err, wantErr) {
-			t.Fatalf("item error lost to cancellation: %v", err)
-		}
-	})
-}
-
-func TestForShardsCtxWholeShards(t *testing.T) {
-	const n, grain = 1000, 17
-	for _, w := range []int{1, 6} {
-		withWorkers(t, w, func() {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			shards := NumShards(n, grain)
-			state := make([]int32, shards)
-			var fired atomic.Int32
-			err := ForShardsCtx(ctx, n, grain, func(s, lo, hi int) {
-				if hi-lo <= 0 || hi > n {
-					t.Errorf("shard %d bad bounds [%d,%d)", s, lo, hi)
-				}
-				atomic.StoreInt32(&state[s], int32(hi-lo))
-				if fired.Add(1) == int32(shards/3) {
-					cancel()
-				}
-			})
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("workers=%d err = %v", w, err)
-			}
-			for s := 0; s < shards; s++ {
-				lo, hi := ShardBounds(n, grain, s)
-				if got := atomic.LoadInt32(&state[s]); got != 0 && got != int32(hi-lo) {
-					t.Fatalf("workers=%d shard %d partial: %d of %d", w, s, got, hi-lo)
-				}
-			}
-		})
-	}
-}
-
-// TestForCtxCancelNeverDeadlocks hammers concurrent cancellation; under
-// -race this also checks the stopped/cursor handoff. A deadlock fails via
-// the test binary's timeout.
-func TestForCtxCancelNeverDeadlocks(t *testing.T) {
-	for round := 0; round < 30; round++ {
-		withWorkers(t, 1+round%8, func() {
-			ctx, cancel := context.WithCancel(context.Background())
-			var hits atomic.Int32
-			go func() {
-				for hits.Load() < int32(1+round*7%200) {
-				}
-				cancel()
-			}()
-			err := ForCtx(ctx, 5000, func(int) { hits.Add(1) })
-			if err != nil && !errors.Is(err, context.Canceled) {
-				t.Fatalf("round %d err = %v", round, err)
-			}
-			cancel()
-		})
 	}
 }

@@ -91,9 +91,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// Dim returns the quantizer's dimensionality.
-func (s *Scalar) Dim() int { return len(s.Min) }
-
 // Covers reports whether every coordinate of v falls inside the trained
 // grid. Out-of-range coordinates still encode (they clamp to the edge
 // cells) but their reconstruction error is unbounded, so index owners
@@ -127,23 +124,6 @@ func (s *Scalar) Encode(v []float64) ([]int8, error) {
 		codes[d] = int8(l - 128)
 	}
 	return codes, nil
-}
-
-// reconstruct returns the centre of dimension d's cell for level l.
-func (s *Scalar) reconstruct(d, l int) float64 {
-	return s.Min[d] + (float64(l)+0.5)*s.Step[d]
-}
-
-// Decode reconstructs the cell-centre vector of a code.
-func (s *Scalar) Decode(codes []int8) ([]float64, error) {
-	if len(codes) != len(s.Min) {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(codes), len(s.Min))
-	}
-	v := make([]float64, len(codes))
-	for d, c := range codes {
-		v[d] = s.reconstruct(d, int(c)+128)
-	}
-	return v, nil
 }
 
 // Table builds the per-query asymmetric-distance lookup table for q:

@@ -1,6 +1,7 @@
 package quant
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -129,4 +130,21 @@ func TestTrainErrors(t *testing.T) {
 	if _, err := Train([][]float64{{1, 2}, {3}}, 0); err == nil {
 		t.Fatal("ragged training set accepted")
 	}
+}
+
+// Decode reconstructs the cell-centre vector of a code.
+func (s *Scalar) Decode(codes []int8) ([]float64, error) {
+	if len(codes) != len(s.Min) {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrDimMismatch, len(codes), len(s.Min))
+	}
+	v := make([]float64, len(codes))
+	for d, c := range codes {
+		v[d] = s.reconstruct(d, int(c)+128)
+	}
+	return v, nil
+}
+
+// reconstruct returns the centre of dimension d's cell for level l.
+func (s *Scalar) reconstruct(d, l int) float64 {
+	return s.Min[d] + (float64(l)+0.5)*s.Step[d]
 }

@@ -137,17 +137,6 @@ func copyPlan(p Plan, extra ...string) Plan {
 	return Plan{Driving: p.Driving, Steps: steps}
 }
 
-// Stats returns a snapshot of the cache counters; zero-valued for an
-// uncached engine.
-func (e *Engine) Stats() CacheStats {
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	e.cache.mu.Lock()
-	defer e.cache.mu.Unlock()
-	return e.cache.stats
-}
-
 // runCached wraps runUncached in the generation-stamped singleflight
 // cache. See the package comment above for the protocol.
 func (e *Engine) runCached(ctx context.Context, q Query) ([]Result, Plan, error) {

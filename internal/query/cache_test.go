@@ -348,3 +348,14 @@ func TestCacheFlightMutationIsolation(t *testing.T) {
 		t.Fatalf("stats = %+v; the follower did not take the share path, test proved nothing", st)
 	}
 }
+
+// Stats returns a snapshot of the cache counters; zero-valued for an
+// uncached engine.
+func (e *Engine) Stats() CacheStats {
+	if e.cache == nil {
+		return CacheStats{}
+	}
+	e.cache.mu.Lock()
+	defer e.cache.mu.Unlock()
+	return e.cache.stats
+}

@@ -4,60 +4,20 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/geo"
 	"repro/internal/index"
 	"repro/internal/vecmath"
 )
 
-// Convenience wrappers over Run for the common single- and dual-modal
-// query shapes the REST API and examples use. Each takes the caller's
-// request context and inherits Run's cancellation contract.
-
-// SpatialRange returns images whose scenes intersect r.
-func (e *Engine) SpatialRange(ctx context.Context, r geo.Rect) ([]Result, error) {
-	out, _, err := e.Run(ctx, Query{Spatial: &SpatialClause{Rect: &r}})
-	return out, err
-}
-
-// KNearest returns the k images closest to p.
-func (e *Engine) KNearest(ctx context.Context, p geo.Point, k int) ([]Result, error) {
-	out, _, err := e.Run(ctx, Query{Spatial: &SpatialClause{Near: &p, K: k}})
-	return out, err
-}
-
-// VisualTopK returns the k most similar images under a feature kind.
-func (e *Engine) VisualTopK(ctx context.Context, kind string, vec []float64, k int) ([]Result, error) {
-	out, _, err := e.Run(ctx, Query{Visual: &VisualClause{Kind: kind, Vec: vec, K: k}})
-	return out, err
-}
+// Entry points beside Run: the label lookup callers use by name, and the
+// forced two-phase plan ablation A3 measures against. Each takes the
+// caller's request context and inherits Run's cancellation contract.
 
 // ByLabel returns images annotated with the label.
 func (e *Engine) ByLabel(ctx context.Context, classification, label string) ([]Result, error) {
 	out, _, err := e.Run(ctx, Query{Categorical: &CategoricalClause{Classification: classification, Label: label}})
 	return out, err
-}
-
-// ByKeywords returns images matching any keyword, TF-IDF ranked.
-func (e *Engine) ByKeywords(ctx context.Context, terms ...string) ([]Result, error) {
-	out, _, err := e.Run(ctx, Query{Textual: &TextualClause{Terms: terms}})
-	return out, err
-}
-
-// TimeRange returns images captured in [from, to].
-func (e *Engine) TimeRange(ctx context.Context, from, to time.Time) ([]Result, error) {
-	out, _, err := e.Run(ctx, Query{Temporal: &TemporalClause{From: from, To: to}})
-	return out, err
-}
-
-// SpatialVisual returns the k visually closest images within r; the
-// planner uses the hybrid tree when the store maintains one.
-func (e *Engine) SpatialVisual(ctx context.Context, r geo.Rect, kind string, vec []float64, k int) ([]Result, Plan, error) {
-	return e.Run(ctx, Query{
-		Spatial: &SpatialClause{Rect: &r},
-		Visual:  &VisualClause{Kind: kind, Vec: vec, K: k},
-	})
 }
 
 // TwoPhaseSpatialVisual forces the two-phase plan — r-tree filter, then
@@ -104,13 +64,4 @@ func (e *Engine) TwoPhaseSpatialVisual(ctx context.Context, r geo.Rect, kind str
 		rs[i] = Result{ID: s.id, Score: s.d}
 	}
 	return rs, nil
-}
-
-// SpatialTextual returns keyword matches restricted to a geographic
-// region — the spatial-textual hybrid query the paper names in §IV-C.
-func (e *Engine) SpatialTextual(ctx context.Context, r geo.Rect, terms ...string) ([]Result, Plan, error) {
-	return e.Run(ctx, Query{
-		Spatial: &SpatialClause{Rect: &r},
-		Textual: &TextualClause{Terms: terms},
-	})
 }

@@ -87,7 +87,7 @@ func TestSpatialRange(t *testing.T) {
 	// Rect around image 0's camera.
 	img, _ := f.st.GetImage(f.ids[0])
 	r := geo.NewRect(geo.Destination(img.FOV.Camera, 315, 150), geo.Destination(img.FOV.Camera, 135, 150))
-	got, err := f.eng.SpatialRange(context.Background(), r)
+	got, _, err := f.eng.Run(context.Background(), Query{Spatial: &SpatialClause{Rect: &r}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestSpatialRange(t *testing.T) {
 func TestKNearest(t *testing.T) {
 	f := setup(t, false)
 	img, _ := f.st.GetImage(f.ids[7])
-	got, err := f.eng.KNearest(context.Background(), img.FOV.Camera, 3)
+	got, _, err := f.eng.Run(context.Background(), Query{Spatial: &SpatialClause{Near: &img.FOV.Camera, K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestKNearest(t *testing.T) {
 
 func TestVisualTopK(t *testing.T) {
 	f := setup(t, false)
-	got, err := f.eng.VisualTopK(context.Background(), string(feature.KindColorHist), []float64{12, 0}, 3)
+	got, _, err := f.eng.Run(context.Background(), Query{Visual: &VisualClause{Kind: string(feature.KindColorHist), Vec: []float64{12, 0}, K: 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func TestCategoricalMinConfidence(t *testing.T) {
 
 func TestTextual(t *testing.T) {
 	f := setup(t, false)
-	got, err := f.eng.ByKeywords(context.Background(), "tent")
+	got, _, err := f.eng.Run(context.Background(), Query{Textual: &TextualClause{Terms: []string{"tent"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestTextual(t *testing.T) {
 
 func TestTemporal(t *testing.T) {
 	f := setup(t, false)
-	got, err := f.eng.TimeRange(context.Background(), f.epoch, f.epoch.Add(4*time.Minute))
+	got, _, err := f.eng.Run(context.Background(), Query{Temporal: &TemporalClause{From: f.epoch, To: f.epoch.Add(4 * time.Minute)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestTemporal(t *testing.T) {
 func TestHybridSpatialVisualUsesHybridTree(t *testing.T) {
 	f := setup(t, true)
 	everywhere := geo.NewRect(geo.Destination(la, 315, 2000), geo.Destination(la, 135, 2000))
-	got, plan, err := f.eng.SpatialVisual(context.Background(), everywhere, string(feature.KindColorHist), []float64{5, 0}, 3)
+	got, plan, err := f.eng.Run(context.Background(), spatialVisual(everywhere, []float64{5, 0}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +245,7 @@ func TestHybridSpatialVisualUsesHybridTree(t *testing.T) {
 func TestHybridFallsBackToTwoPhase(t *testing.T) {
 	f := setup(t, false) // no hybrid tree maintained
 	everywhere := geo.NewRect(geo.Destination(la, 315, 2000), geo.Destination(la, 135, 2000))
-	got, plan, err := f.eng.SpatialVisual(context.Background(), everywhere, string(feature.KindColorHist), []float64{5, 0}, 3)
+	got, plan, err := f.eng.Run(context.Background(), spatialVisual(everywhere, []float64{5, 0}, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestHybridFallsBackToTwoPhase(t *testing.T) {
 func TestHybridAndTwoPhaseAgree(t *testing.T) {
 	f := setup(t, true)
 	everywhere := geo.NewRect(geo.Destination(la, 315, 2000), geo.Destination(la, 135, 2000))
-	hy, plan, err := f.eng.SpatialVisual(context.Background(), everywhere, string(feature.KindColorHist), []float64{13, 0}, 5)
+	hy, plan, err := f.eng.Run(context.Background(), spatialVisual(everywhere, []float64{13, 0}, 5))
 	if err != nil || plan.Driving != "hybrid" {
 		t.Fatalf("hybrid run: %v %v", plan, err)
 	}
@@ -379,12 +379,27 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
+// spatialVisual is the spatial-visual hybrid query: the k visually
+// closest colour histograms within r.
+func spatialVisual(r geo.Rect, vec []float64, k int) Query {
+	return Query{
+		Spatial: &SpatialClause{Rect: &r},
+		Visual:  &VisualClause{Kind: string(feature.KindColorHist), Vec: vec, K: k},
+	}
+}
+
+// spatialTextual is the spatial-textual hybrid query the paper names in
+// §IV-C: keyword matches restricted to a geographic region.
+func spatialTextual(r geo.Rect, terms ...string) Query {
+	return Query{Spatial: &SpatialClause{Rect: &r}, Textual: &TextualClause{Terms: terms}}
+}
+
 func TestSpatialTextualHelper(t *testing.T) {
 	f := setup(t, false)
 	// Region around image 0 only; image 0 carries keyword "tent".
 	img, _ := f.st.GetImage(f.ids[0])
 	r := geo.NewRect(geo.Destination(img.FOV.Camera, 315, 200), geo.Destination(img.FOV.Camera, 135, 200))
-	got, plan, err := f.eng.SpatialTextual(context.Background(), r, "tent")
+	got, plan, err := f.eng.Run(context.Background(), spatialTextual(r, "tent"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +413,7 @@ func TestSpatialTextualHelper(t *testing.T) {
 	}
 	// Outside the region: no hits even though the keyword matches.
 	far := geo.NewRect(geo.Destination(la, 0, 50000), geo.Destination(la, 0, 51000))
-	got, _, err = f.eng.SpatialTextual(context.Background(), far, "tent")
+	got, _, err = f.eng.Run(context.Background(), spatialTextual(far, "tent"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -509,27 +524,29 @@ func TestRunDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestHelpersPropagateCancellation covers the convenience entry points —
-// each must observe the caller's context, not swallow it.
+// TestHelpersPropagateCancellation covers every query shape through Run
+// and the two helper entry points — each must observe the caller's
+// context, not swallow it.
 func TestHelpersPropagateCancellation(t *testing.T) {
 	f := setup(t, false)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := geo.NewRect(geo.Destination(la, 315, 600), geo.Destination(la, 135, 600))
+	near := la
+	run := func(q Query) func() error {
+		return func() error { _, _, err := f.eng.Run(ctx, q); return err }
+	}
 	checks := []struct {
 		name string
 		call func() error
 	}{
-		{"SpatialRange", func() error { _, err := f.eng.SpatialRange(ctx, r); return err }},
-		{"KNearest", func() error { _, err := f.eng.KNearest(ctx, la, 3); return err }},
-		{"VisualTopK", func() error {
-			_, err := f.eng.VisualTopK(ctx, string(feature.KindColorHist), []float64{1, 0}, 3)
-			return err
-		}},
+		{"spatial range", run(Query{Spatial: &SpatialClause{Rect: &r}})},
+		{"k nearest", run(Query{Spatial: &SpatialClause{Near: &near, K: 3}})},
+		{"visual top-k", run(Query{Visual: &VisualClause{Kind: string(feature.KindColorHist), Vec: []float64{1, 0}, K: 3}})},
 		{"ByLabel", func() error { _, err := f.eng.ByLabel(ctx, "street_cleanliness", "Clean"); return err }},
-		{"ByKeywords", func() error { _, err := f.eng.ByKeywords(ctx, "tent"); return err }},
-		{"TimeRange", func() error { _, err := f.eng.TimeRange(ctx, f.epoch, f.epoch.Add(time.Hour)); return err }},
-		{"SpatialTextual", func() error { _, _, err := f.eng.SpatialTextual(ctx, r, "tent"); return err }},
+		{"keywords", run(Query{Textual: &TextualClause{Terms: []string{"tent"}}})},
+		{"time range", run(Query{Temporal: &TemporalClause{From: f.epoch, To: f.epoch.Add(time.Hour)}})},
+		{"spatial-textual", run(spatialTextual(r, "tent"))},
 		{"TwoPhaseSpatialVisual", func() error {
 			_, err := f.eng.TwoPhaseSpatialVisual(ctx, r, string(feature.KindColorHist), []float64{1, 0}, 3)
 			return err

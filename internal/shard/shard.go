@@ -172,9 +172,6 @@ func (c *Coordinator) closeOpened() error {
 	return err
 }
 
-// NumShards returns the shard count.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
 // mix64 is the splitmix64 finalizer: a fixed bijective mixer that spreads
 // sequential IDs uniformly across shards. It is part of the on-disk
 // placement contract — changing it orphans every routed row.

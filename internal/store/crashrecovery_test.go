@@ -82,8 +82,7 @@ func fingerprint(s *Store, probeImg, probeUser uint64) walState {
 		features: len(s.FeatureKinds(probeImg)),
 	}
 	if probeUser != 0 {
-		_, err := s.GetUser(probeUser)
-		st.hasUser = err == nil
+		_, st.hasUser = s.users[probeUser]
 	}
 	return st
 }

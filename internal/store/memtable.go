@@ -54,14 +54,6 @@ func newMemtable() *memtable {
 	}
 }
 
-// empty reports whether the window holds nothing worth flushing.
-func (m *memtable) empty() bool {
-	return len(m.images) == 0 && len(m.features) == 0 && len(m.classes) == 0 &&
-		len(m.annotations) == 0 && len(m.keywords) == 0 && len(m.users) == 0 &&
-		len(m.apiKeys) == 0 && len(m.videos) == 0 && len(m.campaigns) == 0 &&
-		len(m.deletes) == 0
-}
-
 // ---- Record methods (called from applyX under that subsystem's lock) ----
 
 func (m *memtable) addImage(img *Image) { m.images[img.ID] = img }

@@ -38,7 +38,9 @@ const (
 type Image struct {
 	ID uint64
 	// Origin marks originals vs augmented derivatives; augmented images
-	// reference their source via ParentID.
+	// reference their source via ParentID. No writer stores an augmented
+	// image today; both fields stay so the WAL and segment formats do not
+	// change.
 	Origin   ImageOrigin
 	ParentID uint64
 	// FOV is the spatial descriptor (camera GPS, direction θ, angle α,

@@ -1132,17 +1132,6 @@ func (s *Store) applyAPIKey(k *APIKey) {
 	}
 }
 
-// GetUser returns a user by ID.
-func (s *Store) GetUser(id uint64) (User, error) {
-	s.catalogMu.RLock()
-	defer s.catalogMu.RUnlock()
-	u, ok := s.users[id]
-	if !ok {
-		return User{}, fmt.Errorf("%w: user %d", ErrNotFound, id)
-	}
-	return *u, nil
-}
-
 // IssueAPIKey mints a random key for the user.
 func (s *Store) IssueAPIKey(userID uint64, now time.Time) (string, error) {
 	if s.closed.Load() {

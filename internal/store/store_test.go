@@ -340,8 +340,8 @@ func TestUsersAndAPIKeys(t *testing.T) {
 	if _, err := s.IssueAPIKey(999, time.Now()); !errors.Is(err, ErrNotFound) {
 		t.Fatal("key for missing user accepted")
 	}
-	if _, err := s.GetUser(uid); err != nil {
-		t.Fatal(err)
+	if _, ok := s.users[uid]; !ok {
+		t.Fatalf("user %d not stored", uid)
 	}
 }
 
@@ -656,40 +656,6 @@ func TestVideoSurvivesRecovery(t *testing.T) {
 	}
 	if _, err := r.GetImage(frameIDs[0]); err != nil {
 		t.Fatalf("frame recovery: %v", err)
-	}
-}
-
-func TestAddAugmented(t *testing.T) {
-	s := memStore(t)
-	parentID, err := s.AddImage(testImage(t, 45))
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug := imagesim.MustNew(16, 16)
-	augID, err := s.AddAugmented(parentID, aug)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img, err := s.GetImage(augID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parent, _ := s.GetImage(parentID)
-	if img.Origin != OriginAugmented || img.ParentID != parentID {
-		t.Fatalf("augmented = %+v", img)
-	}
-	if img.FOV != parent.FOV || !img.TimestampCapturing.Equal(parent.TimestampCapturing) {
-		t.Fatal("augmented must inherit spatial/temporal descriptors")
-	}
-	got := s.AugmentedOf(parentID)
-	if len(got) != 1 || got[0] != augID {
-		t.Fatalf("AugmentedOf = %v", got)
-	}
-	if _, err := s.AddAugmented(9999, aug); !errors.Is(err, ErrNotFound) {
-		t.Fatal("missing parent accepted")
-	}
-	if _, err := s.AddAugmented(parentID, nil); !errors.Is(err, ErrInvalid) {
-		t.Fatal("nil pixels accepted")
 	}
 }
 

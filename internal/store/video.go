@@ -231,75 +231,3 @@ func (s *Store) Videos() []Video {
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
-
-// AddAugmented stores an augmented derivative of an existing image,
-// inheriting its spatial and temporal descriptors (paper §IV-B).
-func (s *Store) AddAugmented(parentID uint64, pixels *imagesim.Image) (uint64, error) {
-	if pixels == nil {
-		return 0, fmt.Errorf("%w: augmented image has no pixels", ErrInvalid)
-	}
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	// Snapshot the parent's descriptors under a read lock, build and
-	// encode outside any lock, then re-check the parent under the write
-	// lock (it may have been deleted in between).
-	s.imagesMu.RLock()
-	parent, ok := s.images[parentID]
-	if !ok {
-		s.imagesMu.RUnlock()
-		return 0, fmt.Errorf("%w: parent image %d", ErrNotFound, parentID)
-	}
-	img := &Image{
-		Origin:             OriginAugmented,
-		ParentID:           parentID,
-		FOV:                parent.FOV,
-		Scene:              parent.Scene,
-		TimestampCapturing: parent.TimestampCapturing,
-		TimestampUploading: parent.TimestampUploading,
-		WorkerID:           parent.WorkerID,
-	}
-	s.imagesMu.RUnlock()
-	img.ID = s.nextID.Add(1)
-	img.Pixels = pixels
-	frame, err := s.encode(walOp{Kind: opAddImage, Image: img})
-	if err != nil {
-		return 0, err
-	}
-	s.imagesMu.Lock()
-	s.geoMu.Lock()
-	unlock := func() { s.geoMu.Unlock(); s.imagesMu.Unlock() }
-	if s.closed.Load() {
-		unlock()
-		return 0, ErrClosed
-	}
-	if _, ok := s.images[parentID]; !ok {
-		unlock()
-		return 0, fmt.Errorf("%w: parent image %d", ErrNotFound, parentID)
-	}
-	if err := s.applyImage(img); err != nil {
-		unlock()
-		return 0, err
-	}
-	wait := s.enqueue(frame)
-	unlock()
-	if err := s.awaitCommit(wait); err != nil {
-		return 0, err
-	}
-	return img.ID, nil
-}
-
-// AugmentedOf returns the IDs of augmented derivatives of an image,
-// ascending.
-func (s *Store) AugmentedOf(parentID uint64) []uint64 {
-	s.imagesMu.RLock()
-	defer s.imagesMu.RUnlock()
-	var out []uint64
-	for id, img := range s.images {
-		if img.Origin == OriginAugmented && img.ParentID == parentID {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}

@@ -86,7 +86,7 @@ const (
 
 // walBackend is the file surface the writer appends through. It exists so
 // fault-injection tests can interpose a failing or corrupting wrapper
-// (see faultfs.go) between the writer and the real file.
+// (see faultfs_test.go) between the writer and the real file.
 type walBackend interface {
 	io.Writer
 	Sync() error

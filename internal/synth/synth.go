@@ -200,12 +200,6 @@ func (g *Generator) Generate(n int) []Record {
 	return out
 }
 
-// Hotspots exposes the per-class cluster centers (used by coverage and
-// campaign tests that need ground truth).
-func (g *Generator) Hotspots(c Class) []geo.Point {
-	return append([]geo.Point(nil), g.hotspots[c]...)
-}
-
 // Render produces one record of the given class using the generator's
 // sequential rng. It is not safe for concurrent use; Generate is the
 // parallel batch path.

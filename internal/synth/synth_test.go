@@ -169,7 +169,7 @@ func TestEncampmentAndDumpingSharePalette(t *testing.T) {
 
 func TestHotspotClustering(t *testing.T) {
 	g := testGen(t, 10, 5)
-	spots := g.Hotspots(Encampment)
+	spots := g.hotspots[Encampment]
 	if len(spots) == 0 {
 		t.Fatal("no hotspots")
 	}

@@ -23,18 +23,19 @@ echo "== tvdp-lint (invariant gate) =="
 # six-lock acquisition order, the pipeline determinism contract, the
 # WAL-frames-go-through-the-committer rule, discarded Close/Sync errors
 # in the durability layers, the request-lifecycle context contract, the
-# guardedby/requires lock annotations, goroutine join paths, and the
-# temp+rename+dir-fsync install discipline. A failure here means a
+# guardedby/requires lock annotations, goroutine join paths, the
+# temp+rename+dir-fsync install discipline, and that every function
+# under internal/ is reached by non-test code. A failure here means a
 # load-bearing invariant broke — read the finding's fix hint, don't
 # reach for nolint.
 if ! go run ./cmd/tvdp-lint ./...; then
-    echo "tvdp-lint: a platform invariant broke (lock order / determinism / WAL path / error discard / ctx flow / guarded fields / goroutine lifecycle / fsync order)" >&2
+    echo "tvdp-lint: a platform invariant broke (lock order / determinism / WAL path / error discard / ctx flow / guarded fields / goroutine lifecycle / fsync order / reach)" >&2
     exit 1
 fi
 # The analyzers themselves must still detect violations: each fixture
 # package is a known-bad corpus, so a clean exit on one means the
 # analyzer went blind.
-for fixture in lockorder determinism walpath errdiscard ctxflow nolint sqrtscan guardedby golifecycle fsyncorder; do
+for fixture in lockorder determinism walpath errdiscard ctxflow nolint sqrtscan guardedby golifecycle fsyncorder reach; do
     if go run ./cmd/tvdp-lint "./internal/lint/testdata/$fixture" >/dev/null 2>&1; then
         echo "tvdp-lint: fixture $fixture produced no findings — analyzer regression" >&2
         exit 1
@@ -43,6 +44,22 @@ done
 
 echo "== go build =="
 go build ./...
+
+echo "== examples =="
+# The paper's case studies back rows of EXPERIMENTS.md's reproduction
+# checklist; each program must still run to completion (all seven take
+# about a second together).
+ex_dir=$(mktemp -d)
+for ex in examples/*/; do
+    name=$(basename "$ex")
+    go build -o "$ex_dir/$name" "./$ex"
+    if ! "$ex_dir/$name" >"$ex_dir/$name.log" 2>&1; then
+        echo "example $name exited non-zero" >&2
+        cat "$ex_dir/$name.log" >&2
+        exit 1
+    fi
+done
+rm -rf "$ex_dir"
 
 # race_gate RUN [FLAGS...] PKG...: run the named tests under the race
 # detector. Every name in RUN's |-alternation must prefix a test that
@@ -140,7 +157,6 @@ echo "== graceful shutdown gate (race) =="
 # drain against live handlers and the committer quiesce, so this gate is
 # race-enabled and should read as "graceful shutdown broke" on failure.
 race_gate 'TestServeStopsOnCancel|TestServeGracefulShutdownDrainsInFlight' ./internal/core
-race_gate 'TestForCtxCancelNeverDeadlocks|TestForCtxGrainsNeverTear' ./internal/par
 
 echo "== SIGTERM drain smoke =="
 # The real-process twin of the gate above: SIGTERM a loaded tvdp-server
@@ -212,8 +228,9 @@ go test -race ./...
 echo "== tvdp-bench CLI smoke =="
 # tvdp-bench regenerates only the paper's figures; store, query and
 # ingest speed are measured by bench/ above. Fig. 8 needs no corpus, so
-# it checks the table path in about a second; an unknown figure and a
-# removed flag must both fail with the usage exit code 2.
+# it checks the table path in about a second; an unknown figure, an
+# unknown scale and a removed flag must all fail with the usage exit
+# code 2, before any work.
 cli_dir=$(mktemp -d)
 go build -o "$cli_dir/tvdp-bench" ./cmd/tvdp-bench
 if ! "$cli_dir/tvdp-bench" -fig 8 >"$cli_dir/fig8.txt" 2>&1 || ! grep -q "^Fig. 8 — Mean inference time" "$cli_dir/fig8.txt"; then
@@ -221,7 +238,7 @@ if ! "$cli_dir/tvdp-bench" -fig 8 >"$cli_dir/fig8.txt" 2>&1 || ! grep -q "^Fig. 
     cat "$cli_dir/fig8.txt" >&2
     exit 1
 fi
-for args in "-fig 9" "-figure serving"; do
+for args in "-fig 9" "-fig 8 -scale bogus" "-figure serving"; do
     code=0
     "$cli_dir/tvdp-bench" $args >/dev/null 2>&1 || code=$?
     if [ "$code" -ne 2 ]; then
